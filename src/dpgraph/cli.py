@@ -102,16 +102,22 @@ def cmd_estimate(args) -> int:
 
     z = (z_out, z_in)
     if private:
-        if not (np.all(np.isfinite(z_out)) and np.all(np.isfinite(z_in))):
+        both = np.concatenate([z_out, z_in])
+        if not np.all(np.isfinite(both)):
             raise NumericalFailure("non-finite degree input")
+        if np.any(both != np.rint(both)):
+            raise EdgeListParseError(
+                "private release degrees must be integers; "
+                "use --raw for real-valued degrees"
+            )
         z = NoisyBiDegree(
-            z_out=np.rint(z_out).astype(np.int64),
-            z_in=np.rint(z_in).astype(np.int64),
+            z_out=z_out.astype(np.int64),
+            z_in=z_in.astype(np.int64),
             params=PrivacyParams.from_epsilon(epsilon),
         )
     fit = newton_solve(z, model)
     if fit.exists:
-        privacy = PrivacyParams.from_epsilon(epsilon) if private else None
+        privacy = z.params if private else None
         fit = fit.with_variance(variance_estimates(fit.theta, model, privacy))
     _dump_json(args.out, fit.to_json_dict())
     if fit.exists:
@@ -179,22 +185,30 @@ def cmd_simulate(args) -> int:
 
 
 def _read_stats_file(path: str, pair: str | None, kind: str | None) -> np.ndarray:
+    text = Path(path).read_text(encoding="utf-8")
     lines = [
-        ln.strip()
-        for ln in Path(path).read_text(encoding="utf-8").splitlines()
+        (line_no, ln.strip())
+        for line_no, ln in enumerate(text.splitlines(), start=1)
         if ln.strip()
     ]
     if not lines:
         raise DomainError(f"stats file {path} is empty")
-    if lines[0] == STATS_DUMP_HEADER:
+    if lines[0][1] == STATS_DUMP_HEADER:
         want_pair = _parse_pair(pair) if pair else None
         rows = []
-        for ln in lines[1:]:
-            _, i, j, k, value = ln.split(",")
-            if (want_pair is None or (int(i), int(j)) == want_pair) and (
+        for line_no, ln in lines[1:]:
+            try:
+                _, i, j, k, value = ln.split(",")
+                row = ((int(i), int(j)), k, float(value))
+            except ValueError:
+                raise DomainError(
+                    f"{path}: line {line_no}: expected a "
+                    f"'{STATS_DUMP_HEADER}' row, got {ln!r}"
+                ) from None
+            if (want_pair is None or row[0] == want_pair) and (
                 kind is None or k == kind
             ):
-                rows.append(((int(i), int(j)), k, float(value)))
+                rows.append(row)
         if not rows:
             raise DomainError("no statistics match the requested series")
         distinct = sorted({(p, k) for p, k, _ in rows})
@@ -206,7 +220,7 @@ def _read_stats_file(path: str, pair: str | None, kind: str | None) -> np.ndarra
             )
         return np.asarray([v for _, _, v in rows])
     try:
-        return np.asarray([float(ln) for ln in lines])
+        return np.asarray([float(ln) for _, ln in lines])
     except ValueError:
         raise DomainError(
             f"{path}: expected either a '{STATS_DUMP_HEADER}' dump or one "
@@ -253,7 +267,7 @@ def build_parser() -> _Parser:
         help="fit node strengths to degrees by Newton-solved moment equations",
         description=(
             "Input is either a degrees JSON (the privatize output schema; "
-            "real-valued entries accepted) or an edge-list file.  Output "
+            "real-valued entries need --raw) or an edge-list file.  Output "
             'JSON: {"n", "model", "epsilon", "alpha", "beta" (length n, '
             'last 0), "se_alpha", "se_beta", "converged", "exists", '
             '"iterations", "residual_norm"} plus "shared_var"/"privacy_var". '

@@ -41,7 +41,7 @@ from .errors import (
     NumericalFailure,
     SingularSystemError,
 )
-from .graph import BiDegree, ParameterVector
+from .graph import BiDegree, ParameterVector, _pair_matrix
 from .model import EdgeMeanModel, bounds_for
 from .privacy import NoisyBiDegree, PrivacyParams
 
@@ -89,14 +89,6 @@ def _degree_vectors(z) -> tuple[np.ndarray, np.ndarray, float | None]:
     return zout, zin, None
 
 
-def _pair_matrix(theta: ParameterVector, fn) -> np.ndarray:
-    """Evaluate fn over all strength sums alpha_i + beta_j, zero diagonal."""
-    x = theta.alpha[:, None] + theta.beta[None, :]
-    m = np.asarray(fn(x), dtype=float)
-    np.fill_diagonal(m, 0.0)
-    return m
-
-
 def moment_residual(theta: ParameterVector, z, model: EdgeMeanModel) -> np.ndarray:
     """Stacked residuals of the 2n-1 moment equations at theta.
 
@@ -128,11 +120,20 @@ class JacobianMatrix:
 
     n: int
     w: np.ndarray
-    matrix: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense V, assembled on each access."""
+        n, w = self.n, self.w
+        v = np.diag(self.v_diag)
+        cross = w[:, : n - 1]
+        v[:n, n:] = cross
+        v[n:, :n] = cross.T
+        return v
 
     @property
     def v_diag(self) -> np.ndarray:
-        return np.diagonal(self.matrix).copy()
+        return np.concatenate([self.w.sum(axis=1), self.w.sum(axis=0)[: self.n - 1]])
 
     @property
     def boundary(self) -> np.ndarray:
@@ -151,19 +152,8 @@ class JacobianMatrix:
 
 
 def jacobian(theta: ParameterVector, model: EdgeMeanModel) -> JacobianMatrix:
-    """Assemble V = -F'(theta) from the derivative weights."""
-    n = theta.n
-    w = _pair_matrix(theta, model.mu_prime)
-    dim = 2 * n - 1
-    v = np.zeros((dim, dim))
-    idx = np.arange(n)
-    v[idx, idx] = w.sum(axis=1)
-    jdx = np.arange(n, dim)
-    v[jdx, jdx] = w.sum(axis=0)[: n - 1]
-    cross = w[:, : n - 1]
-    v[:n, n:] = cross
-    v[n:, :n] = cross.T
-    return JacobianMatrix(n=n, w=w, matrix=v)
+    """V = -F'(theta) from the derivative weights."""
+    return JacobianMatrix(n=theta.n, w=_pair_matrix(theta, model.mu_prime))
 
 
 @dataclass(frozen=True)
@@ -229,7 +219,6 @@ class FitResult:
     """
 
     theta: ParameterVector
-    converged: bool
     exists: bool
     reason: str | None
     iterations: int
@@ -243,6 +232,10 @@ class FitResult:
     @property
     def n(self) -> int:
         return self.theta.n
+
+    @property
+    def converged(self) -> bool:
+        return self.exists
 
     def with_variance(self, vi: "VarianceInputs") -> "FitResult":
         return replace(
@@ -292,7 +285,6 @@ def _nonexistent(
 ) -> FitResult:
     return FitResult(
         theta=theta,
-        converged=False,
         exists=False,
         reason=reason,
         iterations=iterations,
@@ -375,7 +367,6 @@ def newton_solve(
         if np.abs(resid).max() <= res_tol or np.abs(step).max() <= opts.step_tol:
             return FitResult(
                 theta=theta,
-                converged=True,
                 exists=True,
                 reason=None,
                 iterations=it,
@@ -512,17 +503,8 @@ def _stat_indices(kind: str, i: int, j: int, n: int) -> tuple[int, int]:
     return n + i - 1, n + j - 1
 
 
-def _stat_center(fit: FitResult, kind: str, i: int, j: int) -> float:
-    a, b = fit.theta.alpha, fit.theta.beta
-    if kind == "xi":
-        return float(a[i - 1] - a[j - 1])
-    if kind == "zeta":
-        return float(a[i - 1] + b[j - 1])
-    return float(b[i - 1] - b[j - 1])
-
-
-def _true_center(theta_star: ParameterVector, kind: str, i: int, j: int) -> float:
-    a, b = theta_star.alpha, theta_star.beta
+def _stat_center(theta: ParameterVector, kind: str, i: int, j: int) -> float:
+    a, b = theta.alpha, theta.beta
     if kind == "xi":
         return float(a[i - 1] - a[j - 1])
     if kind == "zeta":
@@ -559,7 +541,7 @@ def standardized_stats(
     """
     out = np.empty(len(pairs))
     for idx, (i, j) in enumerate(pairs):
-        num = _stat_center(fit, kind, i, j) - _true_center(theta_star, kind, i, j)
+        num = _stat_center(fit.theta, kind, i, j) - _stat_center(theta_star, kind, i, j)
         out[idx] = num / math.sqrt(_stat_variance(fit, kind, i, j, include_shared))
     return out
 
@@ -569,7 +551,10 @@ class CiResult:
     lo: float
     hi: float
     length: float
-    half_length: float
+
+    @property
+    def half_length(self) -> float:
+        return self.length / 2.0
 
 
 def confidence_interval(
@@ -585,10 +570,5 @@ def confidence_interval(
     i, j = pair
     se = math.sqrt(_stat_variance(fit, kind, i, j, include_shared))
     q = float(ndtri(0.5 + level / 2.0))
-    center = _stat_center(fit, kind, i, j)
-    return CiResult(
-        lo=center - q * se,
-        hi=center + q * se,
-        length=2.0 * q * se,
-        half_length=q * se,
-    )
+    center = _stat_center(fit.theta, kind, i, j)
+    return CiResult(lo=center - q * se, hi=center + q * se, length=2.0 * q * se)

@@ -132,15 +132,21 @@ class ParameterVector:
         return cls(alpha=np.zeros(n), beta=np.zeros(n))
 
 
+def _pair_matrix(theta: ParameterVector, fn) -> np.ndarray:
+    """Evaluate fn over all strength sums alpha_i + beta_j, zero diagonal."""
+    x = theta.alpha[:, None] + theta.beta[None, :]
+    m = np.asarray(fn(x), dtype=float)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
 def sample_graph(
     theta: ParameterVector, model: EdgeMeanModel, rng: np.random.Generator
 ) -> DirectedGraph:
     """Draw each ordered pair (i, j), i != j, as an independent Bernoulli
     with success probability mu(alpha_i + beta_j)."""
-    x = theta.alpha[:, None] + theta.beta[None, :]
-    p = np.asarray(model.mu(x), dtype=float)
-    adj = rng.random((theta.n, theta.n)) < p
-    np.fill_diagonal(adj, False)
+    # the zero diagonal of the mu matrix excludes self-loops: random() < 0 never holds
+    adj = rng.random((theta.n, theta.n)) < _pair_matrix(theta, model.mu)
     return DirectedGraph(adjacency=adj)
 
 
@@ -157,9 +163,7 @@ def expected_bidegree(
     theta: ParameterVector, model: EdgeMeanModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected (out, in) degree vectors: row/column sums of mu over all pairs."""
-    x = theta.alpha[:, None] + theta.beta[None, :]
-    p = np.asarray(model.mu(x), dtype=float)
-    np.fill_diagonal(p, 0.0)
+    p = _pair_matrix(theta, model.mu)
     return p.sum(axis=1), p.sum(axis=0)
 
 
@@ -173,9 +177,8 @@ def parse_edge_list(text: str) -> DirectedGraph:
     count is logged.  Self-loops and ids < 1 are rejected.
     """
     declared_n = None
-    edges: set[tuple[int, int]] = set()
-    duplicates = 0
-    max_id = 0
+    srcs: list[int] = []
+    dsts: list[int] = []
     saw_content = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -203,23 +206,22 @@ def parse_edge_list(text: str) -> DirectedGraph:
             raise EdgeListParseError("node ids must be >= 1", line_no)
         if src == dst:
             raise EdgeListParseError(f"self-loop at node {src}", line_no)
-        if (src, dst) in edges:
-            duplicates += 1
-            continue
-        edges.add((src, dst))
-        max_id = max(max_id, src, dst)
+        srcs.append(src)
+        dsts.append(dst)
 
+    max_id = max(max(srcs, default=0), max(dsts, default=0))
     n = declared_n if declared_n is not None else max_id
     if n < 2:
         raise EdgeListParseError("edge list defines fewer than 2 nodes")
     if max_id > n:
         raise EdgeListParseError(f"node id {max_id} exceeds declared n={n}")
-    if duplicates:
-        logger.warning("collapsed %d duplicate edge(s)", duplicates)
 
     adj = np.zeros((n, n), dtype=bool)
-    for src, dst in edges:
-        adj[src - 1, dst - 1] = True
+    rows = np.asarray(srcs, dtype=np.intp) - 1
+    adj[rows, np.asarray(dsts, dtype=np.intp) - 1] = True
+    duplicates = len(srcs) - int(adj.sum())
+    if duplicates:
+        logger.warning("collapsed %d duplicate edge(s)", duplicates)
     return DirectedGraph(adjacency=adj)
 
 

@@ -55,29 +55,22 @@ def _as_finite_array(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def _match_input(x_in, result: np.ndarray):
-    # scalar in, scalar out
-    if np.isscalar(x_in) or np.ndim(x_in) == 0:
-        return float(result)
-    return result
-
-
 def probit_mu(x) -> np.ndarray | float:
     """Standard normal CDF Phi(x); strictly inside (0, 1) for finite x."""
     arr = _as_finite_array(x)
-    return _match_input(x, ndtr(arr))
+    return ndtr(arr)
 
 
 def probit_mu_prime(x) -> np.ndarray | float:
     """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2 pi)."""
     arr = _as_finite_array(x)
-    return _match_input(x, np.exp(-0.5 * arr * arr) / SQRT_2PI)
+    return np.exp(-0.5 * arr * arr) / SQRT_2PI
 
 
 def probit_mu_second(x) -> np.ndarray | float:
     """Second derivative -x phi(x); |value| <= 1/sqrt(2 pi e), peak at |x| = 1."""
     arr = _as_finite_array(x)
-    return _match_input(x, -arr * np.exp(-0.5 * arr * arr) / SQRT_2PI)
+    return -arr * np.exp(-0.5 * arr * arr) / SQRT_2PI
 
 
 def _logit_mu(x):
@@ -87,17 +80,18 @@ def _logit_mu(x):
     flat[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
     e = np.exp(flat[~pos])
     flat[~pos] = e / (1.0 + e)
-    return _match_input(x, flat.reshape(arr.shape))
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are
+    return flat.reshape(arr.shape)[()]
 
 
 def _logit_mu_prime(x):
-    p = np.asarray(_logit_mu(x), dtype=float)
-    return _match_input(x, p * (1.0 - p))
+    p = _logit_mu(x)
+    return p * (1.0 - p)
 
 
 def _logit_mu_second(x):
-    p = np.asarray(_logit_mu(x), dtype=float)
-    return _match_input(x, p * (1.0 - p) * (1.0 - 2.0 * p))
+    p = _logit_mu(x)
+    return p * (1.0 - p) * (1.0 - 2.0 * p)
 
 
 @dataclass(frozen=True)

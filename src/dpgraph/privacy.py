@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,20 +50,25 @@ class PrivacyParams:
     """
 
     epsilon: float
-    lam: float
-    kappa: float
-    sensitivity: int = SENSITIVITY
+    sensitivity: ClassVar[int] = SENSITIVITY
+
+    def __post_init__(self):
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise DomainError("epsilon must be a finite positive number")
+        if self.lam >= 1.0:
+            raise DomainError("epsilon too small: exp(-epsilon/2) rounds to 1")
 
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "PrivacyParams":
-        epsilon = float(epsilon)
-        if not (np.isfinite(epsilon) and epsilon > 0.0):
-            raise DomainError("epsilon must be a finite positive number")
-        return cls(
-            epsilon=epsilon,
-            lam=math.exp(-epsilon / 2.0),
-            kappa=4.0 / epsilon,
-        )
+        return cls(float(epsilon))
+
+    @property
+    def lam(self) -> float:
+        return math.exp(-self.epsilon / 2.0)
+
+    @property
+    def kappa(self) -> float:
+        return 4.0 / self.epsilon
 
     @property
     def noise_variance(self) -> float:
@@ -148,8 +154,6 @@ def privatize(
     exactly zero (the point-mass limit of the law).
     """
     params = PrivacyParams.from_epsilon(epsilon)
-    if params.lam >= 1.0:
-        raise DomainError("epsilon too small: exp(-epsilon/2) rounds to 1")
     n = d.n
     if params.lam == 0.0:
         e_plus = np.zeros(n, dtype=np.int64)

@@ -67,9 +67,10 @@ class TestPrivatize:
 
     def test_bad_epsilon_rejected_before_reading_input(self, tmp_path):
         # nonexistent input path: the epsilon check must fire first
-        code = run_cli("privatize", str(tmp_path / "missing.txt"),
-                       "--epsilon", "-2", "--out", str(tmp_path / "o.json"))
-        assert code == 64
+        for eps in ("-2", "1e-30"):
+            code = run_cli("privatize", str(tmp_path / "missing.txt"),
+                           "--epsilon", eps, "--out", str(tmp_path / "o.json"))
+            assert code == 64
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = run_cli("privatize", str(tmp_path / "missing.txt"),
@@ -137,6 +138,27 @@ class TestEstimate:
         code = run_cli("estimate", str(path), "--private",
                        "--out", str(tmp_path / "fit.json"))
         assert code == 64
+
+    def test_non_integer_private_degrees_rejected(self, tmp_path, capsys):
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"n": 4, "epsilon": 2.0,
+                                    "z_out": [1.4, 1, 2, 1],
+                                    "z_in": [1, 2, 1, 1]}))
+        code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be integers" in err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_epsilon_whose_lambda_rounds_to_one_exits_64(self, tmp_path, capsys):
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"n": 4, "epsilon": 1e-30,
+                                    "z_out": [1, 1, 2, 1],
+                                    "z_in": [1, 2, 1, 1]}))
+        code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rounds to 1" in err
 
     def test_private_fit_reports_noise_variance(self, tmp_path):
         theta = ParameterVector.zeros(40)
@@ -290,6 +312,14 @@ class TestQq:
         missing = tmp_path / "nope.csv"
         assert run_cli("qq", str(missing), "--out", str(tmp_path / "o.csv")) == 1
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_short_dump_row_is_usage_error(self, tmp_path, capsys):
+        dump = tmp_path / "dump.csv"
+        dump.write_text("rep,pair_i,pair_j,kind,value\n0,1,2,xi,0.5\n1,1,2\n")
+        assert run_cli("qq", str(dump), "--out", str(tmp_path / "o.csv")) == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "dump.csv" in err and "line 3" in err
 
     def test_empty_input_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

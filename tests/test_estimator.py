@@ -140,6 +140,7 @@ class TestJacobian:
         n = theta.n
         j = jacobian(theta, PROBIT)
         v = j.matrix
+        assert np.array_equal(j.v_diag, np.diagonal(v))
         b = bounds_for(PROBIT, float(np.abs(
             theta.alpha[:, None] + theta.beta[None, :]).max()))
         # 1: row sums of the cross block bracket the boundary entries

@@ -204,6 +204,12 @@ class TestEdgeListParsing:
         assert g.n == 5
         assert g.edge_count == 2
 
+    def test_header_only_gives_isolated_nodes(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="dpgraph.graph"):
+            g = parse_edge_list("n=3\n")
+        assert g.n == 3 and g.edge_count == 0
+        assert caplog.text == ""
+
     def test_header_must_cover_max_id(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("n=2\n1 3\n")

@@ -56,7 +56,7 @@ class TestPrivacyParams:
         assert abs(p.kappa - 2.0 / (-math.log(p.lam))) <= 1e-12
         assert p.sensitivity == 2
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), 1e-30])
     def test_rejects_bad_epsilon(self, eps):
         with pytest.raises(DomainError):
             PrivacyParams.from_epsilon(eps)
