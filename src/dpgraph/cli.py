@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -87,10 +88,26 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
             raise EdgeListParseError(f"bad degrees JSON in {path}: {exc}")
         if z_out.shape != (n,) or z_in.shape != (n,):
             raise EdgeListParseError(f"degree vectors in {path} do not match n={n}")
-        eps = doc.get("epsilon")
-        return z_out, z_in, (float(eps) if eps is not None else None)
+        return z_out, z_in, _json_epsilon(doc.get("epsilon"), path)
     d = degrees(parse_edge_list(text))
     return d.out_deg.astype(float), d.in_deg.astype(float), None
+
+
+def _json_epsilon(eps, path: str) -> float | None:
+    """A degrees JSON's epsilon: null or a finite number (not a bool)."""
+    if eps is None:
+        return None
+    if isinstance(eps, (int, float)) and not isinstance(eps, bool):
+        try:
+            value = float(eps)
+        except OverflowError:  # an integer literal beyond float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise EdgeListParseError(
+        f"bad degrees JSON in {path}: epsilon must be a finite number or "
+        f"null, got {eps!r}"
+    )
 
 
 def cmd_estimate(args) -> int:
@@ -219,6 +236,11 @@ def _read_stats_file(path: str, pair: str | None, kind: str | None) -> np.ndarra
                 "with --pair and --kind"
             )
         return np.asarray([v for _, _, v in rows])
+    if pair is not None or kind is not None:
+        raise DomainError(
+            f"{path} holds one value per line; --pair and --kind select a "
+            "series only from a stats dump (simulate --dump-stats)"
+        )
     try:
         return np.asarray([float(ln) for _, ln in lines])
     except ValueError:
@@ -349,7 +371,8 @@ def build_parser() -> _Parser:
         description=(
             "Accepts a simulate --dump-stats file (use --pair/--kind to pick "
             "one series when several are present) or a bare one-value-per-"
-            "line file.  Output CSV columns: rank, empirical, theoretical."
+            "line file, which takes neither flag.  Output CSV columns: rank, "
+            "empirical, theoretical."
         ),
     )
     p.add_argument("stats", help="statistics dump path")

@@ -9,17 +9,18 @@ with beta_n pinned to 0 (the n-th in-degree equation is dropped and its
 degree value never enters).  Writing F(theta) for the stacked residuals,
 the iteration is full-step Newton,
 
-    theta <- theta - [F'(theta)]^{-1} F(theta),
-
-with an exact dense solve of the (2n-1)-dimensional system each step.
+    theta <- theta - [F'(theta)]^{-1} F(theta).
 
 V = -F'(theta) is symmetric, nonnegative and diagonally dominant with a
 special block form: both diagonal blocks are diagonal matrices and the
 off-diagonal block holds the pairwise derivative weights
 w[i, j] = mu'(alpha_i + beta_j).  That structure admits a closed-form
 approximate inverse S built from the diagonal reciprocals 1/v_kk and one
-shared boundary scalar 1/v_{2n,2n}; S is exposed for diagnostics (the
-production path always factorizes V exactly).
+shared boundary scalar 1/v_{2n,2n}, with ||V^{-1} - S|| = O(n^{-2}).
+Each Newton step solves its (2n-1)-dimensional system by conjugate
+gradients preconditioned with S, using matrix-free products with V
+(O(n^2) per product, a handful of products per step); dense V is only
+assembled by the diagnostics s_approx_error and convergence_diagnostics.
 
 The estimate "does not exist" (a statistical event, not an error) when a
 used degree lies outside the open attainable range (0, n-1), when Newton
@@ -123,7 +124,7 @@ class JacobianMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense V, assembled on each access."""
+        """Dense V, assembled on each access (diagnostics only)."""
         n, w = self.n, self.w
         v = np.diag(self.v_diag)
         cross = w[:, : n - 1]
@@ -168,12 +169,22 @@ class SApprox:
     diag: np.ndarray
     shared: float
 
-    def materialize(self) -> np.ndarray:
-        dim = 2 * self.n - 1
-        sign = np.ones(dim)
+    @property
+    def sign(self) -> np.ndarray:
+        """+1 on out-equations, -1 on in-equations; sigma = outer(sign, sign)."""
+        sign = np.ones(2 * self.n - 1)
         sign[self.n :] = -1.0
+        return sign
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """S r in O(n), without materializing S."""
+        sign = self.sign
+        return self.diag * r + (self.shared * (sign @ r)) * sign
+
+    def materialize(self) -> np.ndarray:
+        sign = self.sign
         s = np.outer(sign, sign) * self.shared
-        s[np.arange(dim), np.arange(dim)] += self.diag
+        s[np.diag_indices_from(s)] += self.diag
         return s
 
 
@@ -190,6 +201,50 @@ def s_approx_error(v: JacobianMatrix) -> float:
     """Entrywise max |V^{-1} - S|, via exact inversion (diagnostic only)."""
     exact = np.linalg.inv(v.matrix)
     return float(np.abs(exact - build_s_approx(v).materialize()).max())
+
+
+# Each Newton step's linear solve stops once max|V x - b| <= _CG_RTOL *
+# max|b| (recursive residual).  S is within O(n^{-2}) of V^{-1}, so a few
+# iterations suffice at every n; a solve still unconverged after
+# _CG_MAX_ITER means V is numerically singular.
+_CG_RTOL = 1e-12
+_CG_MAX_ITER = 200
+
+
+def _pcg_solve(v: JacobianMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve V x = b by conjugate gradients preconditioned with S.
+
+    V is symmetric positive definite; its products use the diagonal and
+    the cross block w[:, :n-1] only.  Raises SingularSystemError when S
+    does not exist, an iterate turns non-finite, or the iteration cap is
+    reached.
+    """
+    n = v.n
+    s = build_s_approx(v)
+    v_diag = v.v_diag
+    cross = v.w[:, : n - 1]
+    tol = _CG_RTOL * np.abs(b).max()
+    x = np.zeros_like(b)
+    r = b
+    z = s.apply(r)
+    p, rz = z, r @ z
+    for _ in range(_CG_MAX_ITER):
+        if np.abs(r).max() <= tol:
+            return x
+        q = v_diag * p + np.concatenate([cross @ p[n:], p[:n] @ cross])
+        step = rz / (p @ q)
+        x = x + step * p
+        r = r - step * q
+        z = s.apply(r)
+        rz, rz_old = r @ z, rz
+        if not np.isfinite(rz):
+            raise SingularSystemError("conjugate gradients broke down")
+        p = z + (rz / rz_old) * p
+    if np.abs(r).max() <= tol:
+        return x
+    raise SingularSystemError(
+        f"conjugate gradients did not converge in {_CG_MAX_ITER} iterations"
+    )
 
 
 @dataclass(frozen=True)
@@ -300,7 +355,12 @@ def newton_solve(
     init: ParameterVector | None = None,
     opts: SolveOptions | None = None,
 ) -> FitResult:
-    """Solve the moment equations by full Newton steps with exact solves.
+    """Solve the moment equations by full Newton steps.
+
+    Each step solves V step = F(theta) by S-preconditioned conjugate
+    gradients to a relative residual of _CG_RTOL; a solve that fails to
+    converge within _CG_MAX_ITER iterations, or turns non-finite, means V
+    is numerically singular and ends the fit with reason "singular".
 
     Convergence is declared when the residual sup-norm falls to
     residual_tol_scale * n or the step sup-norm to step_tol; the step
@@ -344,14 +404,9 @@ def newton_solve(
         raise NumericalFailure("non-finite residual at initial point")
 
     for it in range(1, opts.max_iter + 1):
-        v = jacobian(theta, model).matrix
         try:
-            step = np.linalg.solve(v, resid)
-        except np.linalg.LinAlgError:
-            return _nonexistent(
-                "singular", theta, it, float(np.abs(resid).max()), model, epsilon
-            )
-        if not np.all(np.isfinite(step)):
+            step = _pcg_solve(jacobian(theta, model), resid)
+        except SingularSystemError:
             return _nonexistent(
                 "singular", theta, it, float(np.abs(resid).max()), model, epsilon
             )

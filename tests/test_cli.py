@@ -160,6 +160,23 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "rounds to 1" in err
 
+    @pytest.mark.parametrize(
+        "eps", ["abc", True, [2.0], float("inf"), 10**400],
+        ids=["string", "bool", "list", "infinity", "huge-int"],
+    )
+    def test_non_numeric_epsilon_rejected(self, tmp_path, capsys, eps):
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"n": 4, "epsilon": eps,
+                                    "z_out": [1, 1, 2, 1],
+                                    "z_in": [1, 2, 1, 1]}))
+        for mode in ([], ["--raw"]):
+            code = run_cli("estimate", str(path), *mode,
+                           "--out", str(tmp_path / "fit.json"))
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "epsilon must be a finite number" in err
+            assert not (tmp_path / "fit.json").exists()
+
     def test_private_fit_reports_noise_variance(self, tmp_path):
         theta = ParameterVector.zeros(40)
         eo, ei = expected_bidegree(theta, PROBIT)
@@ -320,6 +337,21 @@ class TestQq:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "dump.csv" in err and "line 3" in err
+
+    @pytest.mark.parametrize(
+        "selection",
+        [["--pair", "7,9", "--kind", "zeta"], ["--pair", "1,2"], ["--kind", "xi"]],
+    )
+    def test_selection_on_bare_file_is_usage_error(self, tmp_path, capsys,
+                                                   selection):
+        stats = tmp_path / "v.txt"
+        stats.write_text("1.0\n-1.0\n0.0\n")
+        out = tmp_path / "q.csv"
+        assert run_cli("qq", str(stats), *selection, "--out", str(out)) == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "v.txt" in err and "only from a stats dump" in err
+        assert not out.exists()
 
     def test_empty_input_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

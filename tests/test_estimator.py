@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dpgraph import estimator
 from dpgraph import (
     DomainError,
     NoisyBiDegree,
@@ -212,6 +213,61 @@ class TestSApprox:
         theta = ParameterVector(alpha=np.full(4, -40.0), beta=np.zeros(4))
         with pytest.raises(SingularSystemError):
             build_s_approx(jacobian(theta, PROBIT))
+
+
+class TestPcgSolve:
+    @pytest.mark.parametrize("n", [10, 60, 200])
+    @pytest.mark.parametrize("model_name", ["probit", "logit"])
+    def test_matches_dense_solve(self, model_name, n):
+        from dpgraph import get_model
+
+        model = get_model(model_name)
+        theta = random_theta(n, 1.0, 300 + n)
+        # a Newton right-hand side: the residual at theta of the expected
+        # degrees under another parameter vector
+        b = moment_residual(theta, expected_bidegree(random_theta(n, 1.0, n), model),
+                            model)
+        jac = jacobian(theta, model)
+        v = jac.matrix
+        step = estimator._pcg_solve(jac, b)
+        # the stopping rule bounds the recursive residual by 1e-12 max|b|;
+        # allow the true one a factor 2 for rounding
+        tol = 2e-12 * np.abs(b).max()
+        assert np.abs(v @ step - b).max() <= tol
+        dense = np.linalg.solve(v, b)
+        # |step - dense| <= ||V^{-1}||_inf |V step - b|, plus the dense
+        # solve's own rounding
+        v_inv_norm = np.abs(np.linalg.inv(v)).sum(axis=1).max()
+        assert np.abs(step - dense).max() <= v_inv_norm * tol + 1e-14 * np.abs(dense).max()
+
+    def test_iteration_cap_reports_singular(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
+        theta = random_theta(30, 0.75, 7)
+        fit = newton_solve(expected_bidegree(theta, PROBIT), PROBIT)
+        assert not fit.exists and fit.reason == "singular"
+        assert fit.iterations == 1
+
+    def test_fit_path_never_builds_dense_v(self, monkeypatch):
+        from dpgraph import ExperimentConfig, JacobianMatrix, run_replication
+
+        class DenseV(Exception):
+            pass
+
+        def refuse(self):
+            raise DenseV
+
+        monkeypatch.setattr(JacobianMatrix, "matrix", property(refuse))
+        theta = random_theta(50, 0.75, 150)
+        fit = newton_solve(expected_bidegree(theta, PROBIT), PROBIT)
+        assert fit.exists
+        assert np.abs(fit.theta.to_free() - theta.to_free()).max() <= 1e-8
+        vi = variance_estimates(fit.theta, PROBIT, PrivacyParams.from_epsilon(2.0))
+        assert np.all(vi.z_diag > 0)
+        rec = run_replication(ExperimentConfig(n=50, reps=1, seed=4), 0)
+        assert rec.exists and rec.stats
+        # the diagnostics are the only place dense V is built
+        with pytest.raises(DenseV):
+            s_approx_error(jacobian(theta, PROBIT))
 
 
 class TestNewtonSolve:
