@@ -176,9 +176,11 @@ def cmd_simulate(args) -> int:
     try:
         workers = int(raw_workers)
     except ValueError:
+        workers = -1
+    if workers < 0:
         raise DomainError(
-            f"DPGRAPH_THREADS must be an integer, got {raw_workers!r}"
-        ) from None
+            f"DPGRAPH_THREADS must be a non-negative integer, got {raw_workers!r}"
+        )
     result = run_experiment(cfg, workers=workers)
     csv = result.report.to_csv()
     if args.out:

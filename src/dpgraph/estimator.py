@@ -22,6 +22,12 @@ gradients preconditioned with S, using matrix-free products with V
 (O(n^2) per product, a handful of products per step); dense V is only
 assembled by the diagnostics s_approx_error and convergence_diagnostics.
 
+One stacked solver fits R degree sequences at once (the simulation
+harness's blocks of replications); newton_solve is its R = 1 case.  Its
+stacked work is elementwise arithmetic, reductions within each row's own
+arrays and one BLAS call per row, so a row's floats never depend on the
+other rows.
+
 The estimate "does not exist" (a statistical event, not an error) when a
 used degree lies outside the open attainable range (0, n-1), when Newton
 exceeds its iteration cap, when an iterate escapes the divergence guard,
@@ -30,7 +36,6 @@ or when the linear solve goes singular.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +47,7 @@ from .errors import (
     NumericalFailure,
     SingularSystemError,
 )
-from .graph import BiDegree, ParameterVector, _pair_matrix
+from .graph import BiDegree, ParameterVector, _pair_matrix, _zero_diagonal
 from .model import EdgeMeanModel, bounds_for
 from .privacy import NoisyBiDegree, PrivacyParams
 
@@ -103,9 +108,39 @@ def moment_residual(theta: ParameterVector, z, model: EdgeMeanModel) -> np.ndarr
             f"degree vectors have length {zout.shape[0]}, parameters have n={n}"
         )
     p = _pair_matrix(theta, model.mu)
-    return np.concatenate(
-        [zout - p.sum(axis=1), (zin - p.sum(axis=0))[: n - 1]]
-    )
+    return np.concatenate([zout, zin[: n - 1]]) - _equation_sums(p)
+
+
+def _equation_sums(m: np.ndarray) -> np.ndarray:
+    """The n row sums and the first n-1 column sums of stacked n x n pair
+    matrices: the sides of the 2n-1 used moment equations."""
+    n = m.shape[-1]
+    return np.concatenate([m.sum(axis=-1), m.sum(axis=-2)[..., : n - 1]], axis=-1)
+
+
+def _boundary_sum(m: np.ndarray) -> np.ndarray:
+    """Sum of the last column of stacked n x n pair matrices."""
+    return m[..., :, -1].sum(axis=-1)
+
+
+def _strength_sums(free: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x[..., i, j] = alpha_i + beta_j from stacked free coordinates."""
+    n = (free.shape[-1] + 1) // 2
+    beta = np.zeros(free.shape[:-1] + (n,))
+    beta[..., : n - 1] = free[..., n:]
+    return np.add(free[..., :n, None], beta[..., None, :], out=out)
+
+
+def _equation_sign(n: int) -> np.ndarray:
+    """+1 on out-equations, -1 on in-equations."""
+    sign = np.ones(2 * n - 1)
+    sign[n:] = -1.0
+    return sign
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of a and b, one BLAS dot per row."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -134,7 +169,7 @@ class JacobianMatrix:
 
     @property
     def v_diag(self) -> np.ndarray:
-        return np.concatenate([self.w.sum(axis=1), self.w.sum(axis=0)[: self.n - 1]])
+        return _equation_sums(self.w)
 
     @property
     def boundary(self) -> np.ndarray:
@@ -149,7 +184,7 @@ class JacobianMatrix:
 
     @property
     def v_2n_2n(self) -> float:
-        return float(self.w[:, self.n - 1].sum())
+        return float(_boundary_sum(self.w))
 
 
 def jacobian(theta: ParameterVector, model: EdgeMeanModel) -> JacobianMatrix:
@@ -169,20 +204,8 @@ class SApprox:
     diag: np.ndarray
     shared: float
 
-    @property
-    def sign(self) -> np.ndarray:
-        """+1 on out-equations, -1 on in-equations; sigma = outer(sign, sign)."""
-        sign = np.ones(2 * self.n - 1)
-        sign[self.n :] = -1.0
-        return sign
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """S r in O(n), without materializing S."""
-        sign = self.sign
-        return self.diag * r + (self.shared * (sign @ r)) * sign
-
     def materialize(self) -> np.ndarray:
-        sign = self.sign
+        sign = _equation_sign(self.n)
         s = np.outer(sign, sign) * self.shared
         s[np.diag_indices_from(s)] += self.diag
         return s
@@ -211,40 +234,70 @@ _CG_RTOL = 1e-12
 _CG_MAX_ITER = 200
 
 
-def _pcg_solve(v: JacobianMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve V x = b by conjugate gradients preconditioned with S.
+def _pcg_block(
+    v_diag: np.ndarray, v_2n_2n: np.ndarray, cross: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve V_r x_r = b_r for every row r of b by CG preconditioned with S_r.
 
-    V is symmetric positive definite; its products use the diagonal and
-    the cross block w[:, :n-1] only.  Raises SingularSystemError when S
-    does not exist, an iterate turns non-finite, or the iteration cap is
-    reached.
+    Row r's system has diagonal v_diag[r], boundary scalar v_2n_2n[r] and
+    cross block cross[r] = w_r[:, :n-1]; a leading axis of length 1
+    shares one system among all rows.  Products with V use the diagonal
+    and the cross block only.  Returns (x, ok): ok[r] is False when S_r
+    does not exist, an iterate turned non-finite, or the cap was reached,
+    and x[r] is then 0.  A row that has converged is no longer updated, and
+    every row's arithmetic is that of a lone solve.
     """
-    n = v.n
-    s = build_s_approx(v)
-    v_diag = v.v_diag
-    cross = v.w[:, : n - 1]
-    tol = _CG_RTOL * np.abs(b).max()
-    x = np.zeros_like(b)
-    r = b
-    z = s.apply(r)
-    p, rz = z, r @ z
-    for _ in range(_CG_MAX_ITER):
-        if np.abs(r).max() <= tol:
-            return x
-        q = v_diag * p + np.concatenate([cross @ p[n:], p[:n] @ cross])
-        step = rz / (p @ q)
-        x = x + step * p
-        r = r - step * q
-        z = s.apply(r)
-        rz, rz_old = r @ z, rz
-        if not np.isfinite(rz):
-            raise SingularSystemError("conjugate gradients broke down")
-        p = z + (rz / rz_old) * p
-    if np.abs(r).max() <= tol:
-        return x
-    raise SingularSystemError(
-        f"conjugate gradients did not converge in {_CG_MAX_ITER} iterations"
+    k, m = b.shape
+    n = (m + 1) // 2
+    sign = _equation_sign(n)
+    ok = np.all(v_diag > 0.0, axis=-1) & (v_2n_2n > 0.0) & np.ones(k, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_diag = 1.0 / v_diag
+        s_shared = (1.0 / v_2n_2n)[:, None]
+
+        def precondition(r):
+            return s_diag * r + (s_shared * _rowdot(r, sign)[:, None]) * sign
+
+        tol = _CG_RTOL * np.abs(b).max(axis=1)
+        x = np.zeros_like(b)
+        r = b.copy()
+        q = np.empty_like(b)
+        z = precondition(r)
+        p, rz = z, _rowdot(r, z)
+        done = ~ok | (np.abs(r).max(axis=1) <= tol)
+        for _ in range(_CG_MAX_ITER):
+            if done.all():
+                break
+            live = ~done[:, None]
+            # q = V p: the cross-block products, plus the diagonal part
+            np.matmul(cross, p[:, n:, None], out=q[:, :n, None])
+            np.matmul(p[:, None, :n], cross, out=q[:, None, n:])
+            q += v_diag * p
+            step = (rz / _rowdot(p, q))[:, None]
+            np.add(x, step * p, out=x, where=live)
+            np.subtract(r, step * q, out=r, where=live)
+            z = precondition(r)
+            rz, rz_old = _rowdot(r, z), rz
+            broke = ~done & ~np.isfinite(rz)
+            ok &= ~broke
+            p = z + (rz / rz_old)[:, None] * p
+            done |= broke | (np.abs(r).max(axis=1) <= tol)
+    ok &= np.abs(r).max(axis=1) <= tol
+    x[~ok] = 0.0
+    return x, ok
+
+
+def _pcg_solve(v: JacobianMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve V x = b for one system; raises SingularSystemError where
+    _pcg_block reports failure."""
+    x, ok = _pcg_block(
+        v.v_diag[None], np.array([v.v_2n_2n]), v.w[None, :, : v.n - 1], b[None]
     )
+    if not ok[0]:
+        raise SingularSystemError(
+            "conjugate gradients failed: V is numerically singular"
+        )
+    return x[0]
 
 
 @dataclass(frozen=True)
@@ -330,23 +383,134 @@ class FitResult:
         return out
 
 
-def _nonexistent(
-    reason: str,
-    theta: ParameterVector,
-    iterations: int,
-    residual_norm: float,
+@dataclass(frozen=True)
+class _BlockFit:
+    """Per-row outcomes of one stacked Newton solve.
+
+    reason[r] is None where row r's estimate exists.  sums, when asked for,
+    holds the plug-in sums (u_diag, u_2n_2n, v_diag, v_2n_2n) at each
+    existing row's estimate, NaN on the other rows.
+    """
+
+    free: np.ndarray
+    reason: list
+    iterations: np.ndarray
+    residual_norm: np.ndarray
+    sums: tuple | None
+
+    def variance(self, privacy: PrivacyParams | None) -> "VarianceInputs":
+        """Stacked variance components from the kept sums (NaN rows where
+        no estimate exists)."""
+        n = (self.free.shape[1] + 1) // 2
+        return _variance_inputs(*self.sums, _noise_sum_variance(n, privacy))
+
+
+def _newton_block(
+    zout: np.ndarray,
+    zin: np.ndarray,
     model: EdgeMeanModel,
-    epsilon: float | None,
-) -> FitResult:
-    return FitResult(
-        theta=theta,
-        exists=False,
-        reason=reason,
-        iterations=iterations,
-        residual_norm=residual_norm,
-        model=model.name,
-        epsilon=epsilon,
+    init: np.ndarray,
+    opts: SolveOptions,
+    with_sums: bool = False,
+) -> _BlockFit:
+    """Fit the rows of (R, n) degree arrays by Newton, all rows at once.
+
+    Every row follows the rules of newton_solve from the shared free-
+    coordinate start init and keeps its own outcome; a row that has
+    stopped is frozen and drops out of the stacked arrays.  Each iterate
+    evaluates x = alpha_i + beta_j once: mu(x) gives the residual and
+    mu'(x) the next step's system.  Row r's floats do not depend on the
+    other rows.  with_sums also keeps, per existing row, the plug-in sums
+    that _BlockFit.variance turns into variances, reusing the last
+    residual's mu(x).
+    """
+    R, n = zout.shape
+    used = np.concatenate([zout, zin[:, : n - 1]], axis=1)
+    if not np.all(np.isfinite(used)):
+        raise NumericalFailure("non-finite degree input")
+    free = np.repeat(init[None], R, axis=0)
+    reason: list = [None] * R
+    iterations = np.zeros(R, dtype=int)
+    residual_norm = np.empty(R)
+    sums = None
+    if with_sums:
+        sums = tuple(np.full(shape, np.nan) for shape in ((R, 2 * n - 1), R) * 2)
+
+    def finish(rows, why, it, resid, free_rows):
+        free[rows] = free_rows
+        iterations[rows] = it
+        residual_norm[rows] = np.abs(resid).max(axis=1)
+        for row in rows:
+            reason[row] = why
+
+    # the start is shared, so its pair matrices are evaluated once
+    x = _strength_sums(init)
+    resid = used - _equation_sums(_zero_diagonal(np.asarray(model.mu(x), dtype=float)))
+    # each expected degree lies strictly inside (0, n-1), so a used degree
+    # outside it admits no solution; summing the out-equations minus the
+    # in-equations shows any solution also satisfies sum(z+) -
+    # sum(z-_{1..n-1}) = sum_{k != n} mu(alpha_k + beta_n), so the implied
+    # n-th in-degree must lie there too
+    implied = zout.sum(axis=1) - zin[:, : n - 1].sum(axis=1)
+    in_range = (
+        np.all((used > 0.0) & (used < n - 1.0), axis=1)
+        & (implied > 0.0)
+        & (implied < n - 1.0)
     )
+    finish(np.flatnonzero(~in_range), "range", 0, resid[~in_range], init)
+    live = np.flatnonzero(in_range)
+    resid, free_l = resid[live], free[live]
+    if not np.all(np.isfinite(resid)):
+        raise NumericalFailure("non-finite residual at initial point")
+    w = _zero_diagonal(np.asarray(model.mu_prime(x), dtype=float))[None]
+    v_diag, v_2n_2n = _equation_sums(w), _boundary_sum(w)
+    res_tol = opts.residual_tol_scale * n
+    xbuf = np.empty((live.size, n, n))  # reused by every iterate
+
+    for it in range(1, opts.max_iter + 1):
+        if live.size == 0:
+            break
+        step, ok = _pcg_block(v_diag, v_2n_2n, w[..., : n - 1], resid)
+        w = None  # release the pair matrix before the next evaluation
+        finish(live[~ok], "singular", it, resid[~ok], free_l[~ok])
+        free_l = free_l + step
+        diverged = ok & (np.abs(free_l).max(axis=1) > opts.divergence_guard)
+        finish(live[diverged], "diverged", it, resid[diverged], free_l[diverged])
+        go = ok & ~diverged
+        conv = (np.abs(resid).max(axis=1) <= res_tol) | (
+            np.abs(step).max(axis=1) <= opts.step_tol
+        )
+        live, free_l, conv = live[go], free_l[go], conv[go]
+        if live.size == 0:
+            break
+
+        x = _strength_sums(free_l, out=xbuf[: live.size])
+        p = _zero_diagonal(np.asarray(model.mu(x), dtype=float))
+        resid = used[live] - _equation_sums(p)
+        if not np.all(np.isfinite(resid)):
+            raise NumericalFailure(f"non-finite residual at iteration {it}")
+        finish(live[conv], None, it, resid[conv], free_l[conv])
+        if sums is not None:
+            # row by row, so the p(1-p) temporary stays n x n
+            for row in np.flatnonzero(conv):
+                sums[0][live[row]], sums[1][live[row]] = _bernoulli_sums(p[row])
+        p = None
+        # mu'(x) on the rows that step again, and on the converged ones
+        # when their variance sums are wanted
+        need = np.ones_like(conv) if sums is not None else ~conv
+        if need.any():
+            w = _zero_diagonal(
+                np.asarray(model.mu_prime(x if need.all() else x[need]), dtype=float)
+            )
+            v_diag, v_2n_2n = _equation_sums(w), _boundary_sum(w)
+            if sums is not None and conv.any():
+                sums[2][live[conv]] = v_diag[conv]
+                sums[3][live[conv]] = v_2n_2n[conv]
+                w, v_diag, v_2n_2n = w[~conv], v_diag[~conv], v_2n_2n[~conv]
+        live, free_l, resid = live[~conv], free_l[~conv], resid[~conv]
+
+    finish(live, "max_iter", opts.max_iter, resid, free_l)
+    return _BlockFit(free, reason, iterations, residual_norm, sums)
 
 
 def newton_solve(
@@ -371,68 +535,29 @@ def newton_solve(
     solution), or later via the iteration cap, the divergence guard on
     ||theta||_inf, or a singular solve.
 
+    This is the one-row case of the stacked solver that also fits the
+    simulation harness's blocks of replications.
+
     Raises NumericalFailure if a residual evaluates to a non-finite value.
     """
     zout, zin, epsilon = _degree_vectors(z)
     n = zout.shape[0]
     if n < 2:
         raise DomainError("need at least 2 nodes")
-    opts = opts or SolveOptions()
     theta = init if init is not None else ParameterVector.zeros(n)
     if theta.n != n:
         raise DomainError("init has wrong dimension")
-
-    def _initial_norm() -> float:
-        return float(np.abs(moment_residual(theta, (zout, zin), model)).max())
-
-    used = np.concatenate([zout, zin[: n - 1]])
-    if not np.all(np.isfinite(used)):
-        raise NumericalFailure("non-finite degree input")
-    if np.any(used <= 0.0) or np.any(used >= n - 1.0):
-        return _nonexistent("range", theta, 0, _initial_norm(), model, epsilon)
-    # summing the out-equations minus the in-equations shows any solution
-    # satisfies sum(z+) - sum(z-_{1..n-1}) = sum_{k != n} mu(alpha_k + beta_n),
-    # i.e. the implied n-th in-degree must itself lie in (0, n-1)
-    implied = float(zout.sum() - zin[: n - 1].sum())
-    if implied <= 0.0 or implied >= n - 1.0:
-        return _nonexistent("range", theta, 0, _initial_norm(), model, epsilon)
-
-    res_tol = opts.residual_tol_scale * n
-    free = theta.to_free()
-    resid = moment_residual(theta, (zout, zin), model)
-    if not np.all(np.isfinite(resid)):
-        raise NumericalFailure("non-finite residual at initial point")
-
-    for it in range(1, opts.max_iter + 1):
-        try:
-            step = _pcg_solve(jacobian(theta, model), resid)
-        except SingularSystemError:
-            return _nonexistent(
-                "singular", theta, it, float(np.abs(resid).max()), model, epsilon
-            )
-        free = free + step
-        theta = ParameterVector.from_free(free)
-        if np.abs(free).max() > opts.divergence_guard:
-            return _nonexistent(
-                "diverged", theta, it, float(np.abs(resid).max()), model, epsilon
-            )
-        new_resid = moment_residual(theta, (zout, zin), model)
-        if not np.all(np.isfinite(new_resid)):
-            raise NumericalFailure(f"non-finite residual at iteration {it}")
-        if np.abs(resid).max() <= res_tol or np.abs(step).max() <= opts.step_tol:
-            return FitResult(
-                theta=theta,
-                exists=True,
-                reason=None,
-                iterations=it,
-                residual_norm=float(np.abs(new_resid).max()),
-                model=model.name,
-                epsilon=epsilon,
-            )
-        resid = new_resid
-
-    return _nonexistent(
-        "max_iter", theta, opts.max_iter, float(np.abs(resid).max()), model, epsilon
+    fit = _newton_block(
+        zout[None], zin[None], model, theta.to_free(), opts or SolveOptions()
+    )
+    return FitResult(
+        theta=ParameterVector.from_free(fit.free[0]),
+        exists=fit.reason[0] is None,
+        reason=fit.reason[0],
+        iterations=int(fit.iterations[0]),
+        residual_norm=float(fit.residual_norm[0]),
+        model=model.name,
+        epsilon=epsilon,
     )
 
 
@@ -497,27 +622,17 @@ class VarianceInputs:
     privacy_var: float
 
 
-def variance_estimates(
-    theta_hat: ParameterVector,
-    model: EdgeMeanModel,
-    privacy: PrivacyParams | None = None,
-) -> VarianceInputs:
-    """Estimate the asymptotic-variance building blocks at theta_hat.
-
-    The aggregate-noise variance is s_n^2 = (2n-1) * 2 lam / (1-lam)^2,
-    counting the 2n-1 noise draws that enter the solved equations.
-    """
-    n = theta_hat.n
-    p = _pair_matrix(theta_hat, model.mu)
+def _bernoulli_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equation sums and boundary sum of the Bernoulli variances p(1-p)."""
     u = p * (1.0 - p)
-    u_diag = np.concatenate([u.sum(axis=1), u.sum(axis=0)[: n - 1]])
-    u_2n_2n = float(u[:, n - 1].sum())
-    jac = jacobian(theta_hat, model)
-    v_diag = jac.v_diag
-    v_2n_2n = jac.v_2n_2n
-    if np.any(v_diag <= 0.0) or v_2n_2n <= 0.0:
+    return _equation_sums(u), _boundary_sum(u)
+
+
+def _variance_inputs(u_diag, u_2n_2n, v_diag, v_2n_2n, s_n_sq: float) -> VarianceInputs:
+    """The variance components from the plug-in sums; stacked sums (one
+    row per fit) give stacked components."""
+    if np.any(v_diag <= 0.0) or np.any(v_2n_2n <= 0.0):
         raise SingularSystemError("zero diagonal in the fitted Jacobian")
-    s_n_sq = (2 * n - 1) * privacy.noise_variance if privacy is not None else 0.0
     return VarianceInputs(
         u_diag=u_diag,
         u_2n_2n=u_2n_2n,
@@ -527,6 +642,32 @@ def variance_estimates(
         z_diag=u_diag / v_diag**2,
         shared_var=u_2n_2n / v_2n_2n**2,
         privacy_var=s_n_sq / v_2n_2n**2,
+    )
+
+
+def _noise_sum_variance(n: int, privacy: PrivacyParams | None) -> float:
+    """s_n^2 = (2n-1) * 2 lam / (1-lam)^2: the 2n-1 noise draws that enter
+    the solved equations (0 for raw degrees)."""
+    return (2 * n - 1) * privacy.noise_variance if privacy is not None else 0.0
+
+
+def variance_estimates(
+    theta_hat: ParameterVector,
+    model: EdgeMeanModel,
+    privacy: PrivacyParams | None = None,
+) -> VarianceInputs:
+    """Estimate the asymptotic-variance building blocks at theta_hat."""
+    x = theta_hat.alpha[:, None] + theta_hat.beta[None, :]
+    u_diag, u_2n_2n = _bernoulli_sums(
+        _zero_diagonal(np.asarray(model.mu(x), dtype=float))
+    )
+    w = _zero_diagonal(np.asarray(model.mu_prime(x), dtype=float))
+    return _variance_inputs(
+        u_diag,
+        float(u_2n_2n),
+        _equation_sums(w),
+        float(_boundary_sum(w)),
+        _noise_sum_variance(theta_hat.n, privacy),
     )
 
 
@@ -558,26 +699,42 @@ def _stat_indices(kind: str, i: int, j: int, n: int) -> tuple[int, int]:
     return n + i - 1, n + j - 1
 
 
-def _stat_center(theta: ParameterVector, kind: str, i: int, j: int) -> float:
-    a, b = theta.alpha, theta.beta
-    if kind == "xi":
-        return float(a[i - 1] - a[j - 1])
+def _pair_indices(kind: str, pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Variance (and free-coordinate) indices of each pair's two terms."""
+    ki, kj = zip(*(_stat_indices(kind, i, j, n) for i, j in pairs))
+    return np.array(ki), np.array(kj)
+
+
+def _contrast(free: np.ndarray, kind: str, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
+    """alpha_i - alpha_j (xi), alpha_i + beta_j (zeta) or beta_i - beta_j
+    (eta) of stacked free coordinates, at indices from _pair_indices."""
     if kind == "zeta":
-        return float(a[i - 1] + b[j - 1])
-    return float(b[i - 1] - b[j - 1])
+        return free[..., ki] + free[..., kj]
+    return free[..., ki] - free[..., kj]
 
 
-def _stat_variance(
-    fit: FitResult, kind: str, i: int, j: int, include_shared: bool
-) -> float:
-    zd = _require_variance(fit)
-    ki, kj = _stat_indices(kind, i, j, fit.n)
-    var = float(zd[ki] + zd[kj])
-    if include_shared:
-        # sensitivity-analysis variant; the shared and privacy terms cancel
-        # exactly in all three contrasts under the asymptotic covariance
-        var += 2.0 * (float(fit.shared_var or 0.0) + float(fit.privacy_var or 0.0))
-    return var
+def _contrast_se(z_diag: np.ndarray, ki: np.ndarray, kj: np.ndarray, common=0.0):
+    """Standard errors of the contrasts from the per-coordinate variances;
+    common adds the shared and privacy terms for sensitivity runs."""
+    return np.sqrt(z_diag[..., ki] + z_diag[..., kj] + common)
+
+
+def _contrast_stats(free_hat, z_diag, free_star, kind: str, pairs, common=0.0):
+    """Standardized contrasts of stacked fits against free_star, and their
+    standard errors: one variance pass serves the statistic and the
+    interval."""
+    ki, kj = _pair_indices(kind, pairs, (free_hat.shape[-1] + 1) // 2)
+    se = _contrast_se(z_diag, ki, kj, common)
+    num = _contrast(free_hat, kind, ki, kj) - _contrast(free_star, kind, ki, kj)
+    return num / se, se
+
+
+def _common_var(fit: FitResult, include_shared: bool) -> float:
+    # the shared and privacy terms cancel exactly in all three contrasts
+    # under the asymptotic covariance; include_shared keeps them anyway
+    if not include_shared:
+        return 0.0
+    return 2.0 * (float(fit.shared_var or 0.0) + float(fit.privacy_var or 0.0))
 
 
 def standardized_stats(
@@ -594,11 +751,17 @@ def standardized_stats(
     variances only (the default matches the asymptotic covariance of these
     contrasts; include_shared adds the common terms for sensitivity runs).
     """
-    out = np.empty(len(pairs))
-    for idx, (i, j) in enumerate(pairs):
-        num = _stat_center(fit.theta, kind, i, j) - _stat_center(theta_star, kind, i, j)
-        out[idx] = num / math.sqrt(_stat_variance(fit, kind, i, j, include_shared))
-    return out
+    if not len(pairs):
+        return np.empty(0)
+    zd = _require_variance(fit)
+    return _contrast_stats(
+        fit.theta.to_free(),
+        zd,
+        theta_star.to_free(),
+        kind,
+        pairs,
+        _common_var(fit, include_shared),
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -620,10 +783,16 @@ def confidence_interval(
     include_shared: bool = False,
 ) -> CiResult:
     """Normal-theory interval for a pair contrast at the given level."""
+    q = _normal_quantile(level)
+    zd = _require_variance(fit)
+    ki, kj = _pair_indices(kind, [pair], fit.n)
+    se = float(_contrast_se(zd, ki, kj, _common_var(fit, include_shared))[0])
+    center = float(_contrast(fit.theta.to_free(), kind, ki, kj)[0])
+    return CiResult(lo=center - q * se, hi=center + q * se, length=2.0 * q * se)
+
+
+def _normal_quantile(level: float) -> float:
+    """The two-sided standard-normal quantile of a confidence level."""
     if not (0.0 < level < 1.0):
         raise DomainError("level must lie in (0, 1)")
-    i, j = pair
-    se = math.sqrt(_stat_variance(fit, kind, i, j, include_shared))
-    q = float(ndtri(0.5 + level / 2.0))
-    center = _stat_center(fit.theta, kind, i, j)
-    return CiResult(lo=center - q * se, hi=center + q * se, length=2.0 * q * se)
+    return float(ndtri(0.5 + level / 2.0))

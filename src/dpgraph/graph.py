@@ -132,12 +132,26 @@ class ParameterVector:
         return cls(alpha=np.zeros(n), beta=np.zeros(n))
 
 
+def _zero_diagonal(m: np.ndarray) -> np.ndarray:
+    """Zero the diagonal of every stacked n x n matrix in m, in place."""
+    i = np.arange(m.shape[-1])
+    m[..., i, i] = 0.0
+    return m
+
+
 def _pair_matrix(theta: ParameterVector, fn) -> np.ndarray:
     """Evaluate fn over all strength sums alpha_i + beta_j, zero diagonal."""
     x = theta.alpha[:, None] + theta.beta[None, :]
-    m = np.asarray(fn(x), dtype=float)
-    np.fill_diagonal(m, 0.0)
-    return m
+    return _zero_diagonal(np.asarray(fn(x), dtype=float))
+
+
+def _draw_graph(p: np.ndarray, rng: np.random.Generator) -> DirectedGraph:
+    """One graph with independent edges i -> j of probability p[i, j].
+
+    p must have a zero diagonal: random() < 0 never holds, so that alone
+    excludes self-loops.
+    """
+    return DirectedGraph(adjacency=rng.random(p.shape) < p)
 
 
 def sample_graph(
@@ -145,9 +159,7 @@ def sample_graph(
 ) -> DirectedGraph:
     """Draw each ordered pair (i, j), i != j, as an independent Bernoulli
     with success probability mu(alpha_i + beta_j)."""
-    # the zero diagonal of the mu matrix excludes self-loops: random() < 0 never holds
-    adj = rng.random((theta.n, theta.n)) < _pair_matrix(theta, model.mu)
-    return DirectedGraph(adjacency=adj)
+    return _draw_graph(_pair_matrix(theta, model.mu), rng)
 
 
 def degrees(g: DirectedGraph) -> BiDegree:

@@ -64,7 +64,12 @@ def probit_mu(x) -> np.ndarray | float:
 def probit_mu_prime(x) -> np.ndarray | float:
     """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2 pi)."""
     arr = _as_finite_array(x)
-    return np.exp(-0.5 * arr * arr) / SQRT_2PI
+    # exp(-0.5 x x) / sqrt(2 pi) in one buffer, updated in place
+    out = np.multiply(-0.5, arr, out=np.empty_like(arr))
+    out *= arr
+    np.exp(out, out=out)
+    out /= SQRT_2PI
+    return out[()]
 
 
 def probit_mu_second(x) -> np.ndarray | float:

@@ -11,6 +11,17 @@ so alpha*_1 = L down to alpha*_n = 0, with beta* = alpha* except the
 pinned beta*_n = 0.  L and epsilon are named schedules resolved against n
 (natural logarithms throughout).
 
+Replications run in blocks of _block_size(n).  Within a block each
+replication still samples its graph and its noise on its own stream, in
+the order a lone replication would; then the whole block is fitted by one
+stacked Newton solve (estimator._newton_block, of which newton_solve is
+the one-row case), and the variances, statistics and intervals are
+vectorized over the block.  The stacked solve never mixes rows: its work
+is elementwise, reductions within each row's own arrays and one BLAS call
+per row, and a stopped row is frozen.  So a replication's output does not
+depend on the block size, on its block-mates or on the worker count that
+ran its block.
+
 Coverage and interval lengths are tallied only over replications where the
 estimate exists; the non-existence frequency is reported separately.
 """
@@ -28,15 +39,31 @@ from scipy.special import ndtri
 
 from .errors import DomainError
 from .estimator import (
+    SolveOptions,
+    _contrast_stats,
+    _newton_block,
+    _normal_quantile,
     _stat_indices,
+)
+from .graph import (
+    ParameterVector,
+    _draw_graph,
+    _pair_matrix,
+    degrees,
+    expected_bidegree,
+)
+from .model import get_model
+from .privacy import PrivacyParams, deviation_bound, privatize
+
+# The harness runs its own stacked path, but these names stay importable
+# here: the benchmark's tracer (bench/tracing.py) wraps them in this module.
+from .estimator import (  # noqa: F401  isort: skip
     confidence_interval,
     newton_solve,
     standardized_stats,
     variance_estimates,
 )
-from .graph import ParameterVector, degrees, expected_bidegree, sample_graph
-from .model import get_model
-from .privacy import deviation_bound, privatize
+from .graph import sample_graph  # noqa: F401  isort: skip
 
 __all__ = [
     "ExperimentConfig",
@@ -136,6 +163,7 @@ class ExperimentConfig:
             raise DomainError("n must be >= 4")
         if self.reps < 1:
             raise DomainError("reps must be >= 1")
+        _normal_quantile(self.level)
         resolve_L(self.L_spec, self.n)
         resolve_epsilon(self.eps_spec, self.n)
         get_model(self.model)
@@ -169,50 +197,87 @@ class RepRecord:
     stats: tuple[StatRecord, ...] = field(default_factory=tuple)
 
 
+# Replications are fitted in blocks of _block_size(n): a stacked n x n
+# pair array of the Newton core then holds at most _BLOCK_ELEMENTS floats
+# (1 MB), which bounds the harness's extra memory whatever n is.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _block_size(n: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // (n * n))
+
+
+def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
+    """Sample, privatize, fit and test a block of replications.
+
+    Each replication draws its graph and its noise from its own stream,
+    exactly as a lone one would; the fits then run as one stacked Newton
+    solve, whose arithmetic for a replication does not depend on the other
+    replications, and the statistics and intervals are vectorized.
+    """
+    n = cfg.n
+    model = get_model(cfg.model)
+    theta_star = make_true_params(n, cfg.L_spec)
+    eps = resolve_epsilon(cfg.eps_spec, n)
+    p_star = _pair_matrix(theta_star, model.mu)
+    exp_out, exp_in = expected_bidegree(theta_star, model)
+
+    zout = np.empty((len(rep_indices), n))
+    zin = np.empty((len(rep_indices), n))
+    for row, rep in enumerate(rep_indices):
+        rng = np.random.default_rng(derive_stream_seed(cfg.seed, rep))
+        noisy = privatize(degrees(_draw_graph(p_star, rng)), eps, rng)
+        zout[row], zin[row] = noisy.z_out, noisy.z_in
+    dev = np.maximum(
+        np.abs(zout - exp_out).max(axis=1), np.abs(zin - exp_in).max(axis=1)
+    )
+    dev_ok = dev <= deviation_bound(n, eps)
+
+    fit = _newton_block(
+        zout, zin, model, np.zeros(2 * n - 1), SolveOptions(), with_sums=True
+    )
+    # rows without an estimate carry NaN variances and are never read
+    z_diag = fit.variance(PrivacyParams.from_epsilon(eps)).z_diag
+    q = _normal_quantile(cfg.level)
+    free_star = theta_star.to_free()
+    columns = []  # (kind, values, lengths): one column per pair
+    for kind in cfg.stat_kinds:
+        values, se = _contrast_stats(fit.free, z_diag, free_star, kind, cfg.pairs)
+        columns.append((kind, values, 2.0 * q * se))
+
+    records = []
+    for row, rep in enumerate(rep_indices):
+        exists = fit.reason[row] is None
+        stats = tuple(
+            StatRecord(
+                pair_i=i,
+                pair_j=j,
+                kind=kind,
+                value=float(values[row, col]),
+                covered=bool(abs(values[row, col]) <= q),
+                ci_length=float(lengths[row, col]),
+            )
+            for kind, values, lengths in columns
+            for col, (i, j) in enumerate(cfg.pairs)
+            if exists
+        )
+        records.append(
+            RepRecord(
+                rep_index=rep,
+                epsilon=eps,
+                exists=exists,
+                reason=fit.reason[row],
+                iterations=int(fit.iterations[row]),
+                deviation_ok=bool(dev_ok[row]),
+                stats=stats,
+            )
+        )
+    return records
+
+
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> RepRecord:
     """One sample -> privatize -> fit -> test pass, on its own RNG stream."""
-    rng = np.random.default_rng(derive_stream_seed(cfg.seed, rep_index))
-    model = get_model(cfg.model)
-    theta_star = make_true_params(cfg.n, cfg.L_spec)
-    graph = sample_graph(theta_star, model, rng)
-    eps = resolve_epsilon(cfg.eps_spec, cfg.n)
-    noisy = privatize(degrees(graph), eps, rng)
-
-    exp_out, exp_in = expected_bidegree(theta_star, model)
-    dev = max(
-        float(np.abs(noisy.z_out - exp_out).max()),
-        float(np.abs(noisy.z_in - exp_in).max()),
-    )
-    dev_ok = dev <= deviation_bound(cfg.n, eps)
-
-    fit = newton_solve(noisy, model)
-    stats: list[StatRecord] = []
-    if fit.exists:
-        fit = fit.with_variance(variance_estimates(fit.theta, model, noisy.params))
-        q = float(ndtri(0.5 + cfg.level / 2.0))
-        for kind in cfg.stat_kinds:
-            values = standardized_stats(fit, theta_star, cfg.pairs, kind=kind)
-            for (i, j), val in zip(cfg.pairs, values):
-                ci = confidence_interval(fit, (i, j), level=cfg.level, kind=kind)
-                stats.append(
-                    StatRecord(
-                        pair_i=i,
-                        pair_j=j,
-                        kind=kind,
-                        value=float(val),
-                        covered=bool(abs(val) <= q),
-                        ci_length=ci.length,
-                    )
-                )
-    return RepRecord(
-        rep_index=rep_index,
-        epsilon=eps,
-        exists=fit.exists,
-        reason=fit.reason,
-        iterations=fit.iterations,
-        deviation_ok=dev_ok,
-        stats=tuple(stats),
-    )
+    return _run_block(cfg, range(rep_index, rep_index + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -273,29 +338,25 @@ class ExperimentResult:
         return np.asarray(vals)
 
 
-def _rep_task(args: tuple[ExperimentConfig, int]) -> RepRecord:
-    cfg, rep_index = args
-    return run_replication(cfg, rep_index)
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications and aggregate the coverage table.
 
-    workers > 1 fans replications out to a process pool; workers = 0 means
-    one worker per CPU.  Aggregation sorts by rep_index, so the result is
-    bit-identical for any worker count.
+    Replications run in blocks of _block_size(n); workers > 1 fans the
+    blocks out to a process pool, and workers = 0 means one worker per CPU.
+    Aggregation sorts by rep_index, so the result is bit-identical for any
+    worker count and block size.
     """
     start = time.perf_counter()
     if workers == 0:
         workers = os.cpu_count() or 1
+    size = _block_size(cfg.n)
+    blocks = [range(b, min(b + size, cfg.reps)) for b in range(0, cfg.reps, size)]
     if workers <= 1:
-        records = [run_replication(cfg, i) for i in range(cfg.reps)]
+        done = [_run_block(cfg, block) for block in blocks]
     else:
-        tasks = [(cfg, i) for i in range(cfg.reps)]
-        chunk = max(1, cfg.reps // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_rep_task, tasks, chunksize=chunk))
-    records.sort(key=lambda r: r.rep_index)
+            done = list(pool.map(_run_block, [cfg] * len(blocks), blocks))
+    records = sorted((rec for block in done for rec in block), key=lambda r: r.rep_index)
 
     n_exist = sum(1 for r in records if r.exists)
     nonexist_freq = 1.0 - n_exist / cfg.reps

@@ -246,6 +246,17 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("workers", ["-2", "two"])
+    def test_bad_worker_count_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                             workers):
+        monkeypatch.setenv("DPGRAPH_THREADS", workers)
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--n", "10", "--reps", "3",
+                       "--out", str(out)) == 64
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "DPGRAPH_THREADS" in err
+        assert not out.exists()
+
     def test_stat_kind_selection(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--n", "30", "--eps", "fixed:6",

@@ -6,15 +6,28 @@ import numpy as np
 import pytest
 
 from dpgraph import (
+    PROBIT,
     DomainError,
     ExperimentConfig,
+    ParameterVector,
+    confidence_interval,
     default_pairs,
+    degrees,
     derive_stream_seed,
+    expected_bidegree,
+    get_model,
     make_true_params,
+    newton_solve,
+    privatize,
     qq_export,
     run_experiment,
     run_replication,
+    sample_graph,
+    standardized_stats,
+    variance_estimates,
 )
+from dpgraph import estimator, simulation
+from dpgraph.cli import main
 from dpgraph.simulation import qq_csv, resolve_L, resolve_epsilon
 
 
@@ -198,6 +211,114 @@ class TestConfigValidation:
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
             ExperimentConfig(n=3)
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    def test_rejects_level_outside_unit_interval(self, level):
+        with pytest.raises(DomainError, match="level"):
+            ExperimentConfig(n=10, reps=3, level=level)
+
+
+# n = 24 at eps = 1.5 mixes fits with `range` non-existence (22 of the
+# first 60 replications at seed 8)
+MIXED = dict(n=24, L_spec="zero", eps_spec="fixed:1.5", reps=70, seed=8,
+             pairs=((1, 2), (3, 4)), stat_kinds=("xi", "zeta", "eta"))
+MIXED_ARGS = ["simulate", "--n", "24", "--eps", "fixed:1.5", "--reps", "70",
+              "--seed", "8", "--pairs", "1,2", "--pairs", "3,4",
+              "--stats", "xi,zeta,eta"]
+
+
+def _theta(n, scale, seed):
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-scale, scale, n)
+    beta = rng.uniform(-scale, scale, n)
+    beta[-1] = 0.0
+    return ParameterVector(alpha=alpha, beta=beta)
+
+
+class TestBlockInvariance:
+    """Replications are fitted in stacked blocks; no replication's output may
+    depend on the block size, on its block-mates or on the worker count."""
+
+    def _outputs(self, tmp_path, monkeypatch, tag, block, workers):
+        n = MIXED["n"]
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block * n * n)
+        assert simulation._block_size(n) == block
+        monkeypatch.setenv("DPGRAPH_THREADS", str(workers))
+        out, dump = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.stats"
+        assert main(MIXED_ARGS + ["--out", str(out), "--dump-stats", str(dump)]) == 0
+        return out.read_bytes(), dump.read_bytes()
+
+    def test_block_size_and_workers_do_not_change_outputs(self, tmp_path, monkeypatch):
+        first = self._outputs(tmp_path, monkeypatch, "b1", 1, 1)
+        assert first == self._outputs(tmp_path, monkeypatch, "b64", 64, 1)
+        assert first == self._outputs(tmp_path, monkeypatch, "b8w2", 8, 2)
+
+    def test_each_replication_matches_a_lone_fit(self, monkeypatch):
+        cfg = ExperimentConfig(**MIXED)
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 32 * cfg.n * cfg.n)
+        records = run_experiment(cfg).records
+        theta_star = make_true_params(cfg.n, cfg.L_spec)
+        reasons = set()
+        for rec in records:
+            rng = np.random.default_rng(derive_stream_seed(cfg.seed, rec.rep_index))
+            noisy = privatize(degrees(sample_graph(theta_star, PROBIT, rng)), 1.5, rng)
+            fit = newton_solve(noisy, PROBIT)
+            reasons.add(fit.reason)
+            assert (rec.exists, rec.reason, rec.iterations) == (
+                fit.exists, fit.reason, fit.iterations)
+            if not fit.exists:
+                assert rec.stats == ()
+                continue
+            fit = fit.with_variance(variance_estimates(fit.theta, PROBIT, noisy.params))
+            expected = []
+            for kind in cfg.stat_kinds:
+                values = standardized_stats(fit, theta_star, cfg.pairs, kind=kind)
+                for pair, value in zip(cfg.pairs, values):
+                    ci = confidence_interval(fit, pair, kind=kind)
+                    expected.append((*pair, kind, float(value), ci.length))
+            got = [(s.pair_i, s.pair_j, s.kind, s.value, s.ci_length) for s in rec.stats]
+            assert got == expected  # exact: the same floats, not merely close
+        assert reasons == {None, "range"}
+
+    def test_block_rows_equal_lone_newton_solves(self):
+        n = 24
+        rows = [expected_bidegree(_theta(n, scale, seed), PROBIT)
+                for scale, seed in ((0.3, 1), (1.0, 2), (0.6, 3))]
+        zout = np.array([r[0] for r in rows])
+        zin = np.array([r[1] for r in rows])
+        block = estimator._newton_block(zout, zin, PROBIT, np.zeros(2 * n - 1),
+                                        estimator.SolveOptions())
+        for k, z in enumerate(rows):
+            fit = newton_solve(z, PROBIT)
+            assert block.reason[k] is None and fit.exists
+            assert block.iterations[k] == fit.iterations
+            assert np.array_equal(block.free[k], fit.theta.to_free())
+            assert block.residual_norm[k] == fit.residual_norm
+
+    def test_failing_block_mates_leave_a_fit_unchanged(self, monkeypatch):
+        # with the CG cap at 12, the mild row (scale 0.3) needs at most 8
+        # iterations per step while the rough one (scale 3) needs 17
+        monkeypatch.setattr(estimator, "_CG_MAX_ITER", 12)
+        n = 30
+        mild = expected_bidegree(_theta(n, 0.3, 5), PROBIT)
+        rough = expected_bidegree(_theta(n, 3.0, 5), PROBIT)
+        empty_out = mild[0].copy()
+        empty_out[4] = 0.0  # a node with no out-edges: no solution exists
+        zout = np.array([empty_out, mild[0], rough[0]])
+        zin = np.array([mild[1], mild[1], rough[1]])
+        opts = estimator.SolveOptions()
+        start = np.zeros(2 * n - 1)
+        mixed = estimator._newton_block(zout, zin, PROBIT, start, opts, with_sums=True)
+        alone = estimator._newton_block(zout[1:2], zin[1:2], PROBIT, start, opts,
+                                        with_sums=True)
+        assert mixed.reason == ["range", None, "singular"]
+        assert mixed.iterations[1] == alone.iterations[0]
+        assert mixed.residual_norm[1] == alone.residual_norm[0]
+        assert np.array_equal(mixed.free[1], alone.free[0])
+        for got, want in zip(mixed.sums, alone.sums):
+            assert np.array_equal(got[1], want[0])
+        fit = newton_solve(mild, get_model("probit"))
+        assert np.array_equal(mixed.free[1], fit.theta.to_free())
 
 
 class TestQqExport:
