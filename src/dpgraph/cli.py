@@ -23,7 +23,7 @@ from .errors import (
     EdgeListParseError,
     NumericalFailure,
 )
-from .estimator import newton_solve, variance_estimates
+from .estimator import newton_solve
 from .graph import degrees, parse_edge_list
 from .model import get_model
 from .privacy import NoisyBiDegree, PrivacyParams, privatize
@@ -34,6 +34,10 @@ from .simulation import (
     qq_export,
     run_experiment,
 )
+
+# estimate takes its variances from the fit, but this name stays importable
+# here: the benchmark's tracer (bench/tracing.py) wraps it in this module.
+from .estimator import variance_estimates  # noqa: F401  isort: skip
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -81,7 +85,7 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
     if stripped.startswith("{"):
         doc = json.loads(text)
         try:
-            n = int(doc["n"])
+            n = _json_n(doc["n"], path)
             z_out = np.asarray(doc["z_out"], dtype=float)
             z_in = np.asarray(doc["z_in"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
@@ -91,6 +95,15 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
         return z_out, z_in, _json_epsilon(doc.get("epsilon"), path)
     d = degrees(parse_edge_list(text))
     return d.out_deg.astype(float), d.in_deg.astype(float), None
+
+
+def _json_n(n, path: str) -> int:
+    """A degrees JSON's n: a JSON integer (not a bool, string or float)."""
+    if isinstance(n, int) and not isinstance(n, bool):
+        return n
+    raise EdgeListParseError(
+        f"bad degrees JSON in {path}: n must be an integer, got {n!r}"
+    )
 
 
 def _json_epsilon(eps, path: str) -> float | None:
@@ -132,10 +145,7 @@ def cmd_estimate(args) -> int:
             z_in=z_in.astype(np.int64),
             params=PrivacyParams.from_epsilon(epsilon),
         )
-    fit = newton_solve(z, model)
-    if fit.exists:
-        privacy = z.params if private else None
-        fit = fit.with_variance(variance_estimates(fit.theta, model, privacy))
+    fit = newton_solve(z, model, with_variance=True)
     _dump_json(args.out, fit.to_json_dict())
     if fit.exists:
         print(

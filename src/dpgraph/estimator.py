@@ -18,9 +18,17 @@ w[i, j] = mu'(alpha_i + beta_j).  That structure admits a closed-form
 approximate inverse S built from the diagonal reciprocals 1/v_kk and one
 shared boundary scalar 1/v_{2n,2n}, with ||V^{-1} - S|| = O(n^{-2}).
 Each Newton step solves its (2n-1)-dimensional system by conjugate
-gradients preconditioned with S, using matrix-free products with V
-(O(n^2) per product, a handful of products per step); dense V is only
-assembled by the diagnostics s_approx_error and convergence_diagnostics.
+gradients preconditioned with S, using matrix-free products with V (a
+handful of products per step); dense V is only assembled by the
+diagnostics s_approx_error and convergence_diagnostics.
+
+Every O(n^2) quantity of a fit (the residual, the diagonal of V, the
+products with its cross block, the variance sums) is a row sum, column
+sum or product of a pair matrix f(alpha_i + beta_j).  One pair operator
+(pairs._Pairs) serves them all: below n = 128 from the dense n x n
+matrices (O(n^2) per product), above it from a tensor Chebyshev
+interpolant on 32 x 32 nodes (O(32 n) per product), unless a row's box of
+strengths is too wide for the nodes.
 
 One stacked solver fits R degree sequences at once (the simulation
 harness's blocks of replications); newton_solve is its R = 1 case.  Its
@@ -47,8 +55,9 @@ from .errors import (
     NumericalFailure,
     SingularSystemError,
 )
-from .graph import BiDegree, ParameterVector, _pair_matrix, _zero_diagonal
+from .graph import BiDegree, ParameterVector, _pair_matrix
 from .model import EdgeMeanModel, bounds_for
+from .pairs import _boundary_sum, _DensePairs, _equation_sums, _Pairs, _pairs
 from .privacy import NoisyBiDegree, PrivacyParams
 
 __all__ = [
@@ -107,28 +116,8 @@ def moment_residual(theta: ParameterVector, z, model: EdgeMeanModel) -> np.ndarr
         raise DomainError(
             f"degree vectors have length {zout.shape[0]}, parameters have n={n}"
         )
-    p = _pair_matrix(theta, model.mu)
-    return np.concatenate([zout, zin[: n - 1]]) - _equation_sums(p)
-
-
-def _equation_sums(m: np.ndarray) -> np.ndarray:
-    """The n row sums and the first n-1 column sums of stacked n x n pair
-    matrices: the sides of the 2n-1 used moment equations."""
-    n = m.shape[-1]
-    return np.concatenate([m.sum(axis=-1), m.sum(axis=-2)[..., : n - 1]], axis=-1)
-
-
-def _boundary_sum(m: np.ndarray) -> np.ndarray:
-    """Sum of the last column of stacked n x n pair matrices."""
-    return m[..., :, -1].sum(axis=-1)
-
-
-def _strength_sums(free: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x[..., i, j] = alpha_i + beta_j from stacked free coordinates."""
-    n = (free.shape[-1] + 1) // 2
-    beta = np.zeros(free.shape[:-1] + (n,))
-    beta[..., : n - 1] = free[..., n:]
-    return np.add(free[..., :n, None], beta[..., None, :], out=out)
+    expected, _ = _pairs(theta.to_free()[None], model).mu().sums()
+    return np.concatenate([zout, zin[: n - 1]]) - expected[0]
 
 
 def _equation_sign(n: int) -> np.ndarray:
@@ -235,17 +224,18 @@ _CG_MAX_ITER = 200
 
 
 def _pcg_block(
-    v_diag: np.ndarray, v_2n_2n: np.ndarray, cross: np.ndarray, b: np.ndarray
+    v_diag: np.ndarray, v_2n_2n: np.ndarray, w: _Pairs, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve V_r x_r = b_r for every row r of b by CG preconditioned with S_r.
 
     Row r's system has diagonal v_diag[r], boundary scalar v_2n_2n[r] and
-    cross block cross[r] = w_r[:, :n-1]; a leading axis of length 1
-    shares one system among all rows.  Products with V use the diagonal
-    and the cross block only.  Returns (x, ok): ok[r] is False when S_r
-    does not exist, an iterate turned non-finite, or the cap was reached,
-    and x[r] is then 0.  A row that has converged is no longer updated, and
-    every row's arithmetic is that of a lone solve.
+    cross block w_r[:, :n-1], with w the mu' pair operator; a leading axis
+    of length 1 (one operator part with one row) shares one system among
+    all rows.  Products with V use the diagonal and the cross block only.
+    Returns (x, ok): ok[r] is False when S_r does not exist, an iterate
+    turned non-finite, or the cap was reached, and x[r] is then 0.  A row
+    that has converged is no longer updated, and every row's arithmetic is
+    that of a lone solve.
     """
     k, m = b.shape
     n = (m + 1) // 2
@@ -270,8 +260,7 @@ def _pcg_block(
                 break
             live = ~done[:, None]
             # q = V p: the cross-block products, plus the diagonal part
-            np.matmul(cross, p[:, n:, None], out=q[:, :n, None])
-            np.matmul(p[:, None, :n], cross, out=q[:, None, n:])
+            w.products(p, q)
             q += v_diag * p
             step = (rz / _rowdot(p, q))[:, None]
             np.add(x, step * p, out=x, where=live)
@@ -291,7 +280,10 @@ def _pcg_solve(v: JacobianMatrix, b: np.ndarray) -> np.ndarray:
     """Solve V x = b for one system; raises SingularSystemError where
     _pcg_block reports failure."""
     x, ok = _pcg_block(
-        v.v_diag[None], np.array([v.v_2n_2n]), v.w[None, :, : v.n - 1], b[None]
+        v.v_diag[None],
+        np.array([v.v_2n_2n]),
+        _Pairs([_DensePairs(v.w[None])]),
+        b[None],
     )
     if not ok[0]:
         raise SingularSystemError(
@@ -418,11 +410,11 @@ def _newton_block(
     Every row follows the rules of newton_solve from the shared free-
     coordinate start init and keeps its own outcome; a row that has
     stopped is frozen and drops out of the stacked arrays.  Each iterate
-    evaluates x = alpha_i + beta_j once: mu(x) gives the residual and
-    mu'(x) the next step's system.  Row r's floats do not depend on the
-    other rows.  with_sums also keeps, per existing row, the plug-in sums
-    that _BlockFit.variance turns into variances, reusing the last
-    residual's mu(x).
+    builds one pair operator (_pairs) over the live rows: its mu gives the
+    residual and its mu' the next step's system.  Row r's floats do not
+    depend on the other rows.  with_sums also keeps, per existing row, the
+    plug-in sums that _BlockFit.variance turns into variances, reusing the
+    last residual's mu.
     """
     R, n = zout.shape
     used = np.concatenate([zout, zin[:, : n - 1]], axis=1)
@@ -443,9 +435,9 @@ def _newton_block(
         for row in rows:
             reason[row] = why
 
-    # the start is shared, so its pair matrices are evaluated once
-    x = _strength_sums(init)
-    resid = used - _equation_sums(_zero_diagonal(np.asarray(model.mu(x), dtype=float)))
+    # the start is shared, so one operator row serves every row
+    pairs = _pairs(init[None], model)
+    resid = used - pairs.mu().sums()[0]
     # each expected degree lies strictly inside (0, n-1), so a used degree
     # outside it admits no solution; summing the out-equations minus the
     # in-equations shows any solution also satisfies sum(z+) -
@@ -462,16 +454,14 @@ def _newton_block(
     resid, free_l = resid[live], free[live]
     if not np.all(np.isfinite(resid)):
         raise NumericalFailure("non-finite residual at initial point")
-    w = _zero_diagonal(np.asarray(model.mu_prime(x), dtype=float))[None]
-    v_diag, v_2n_2n = _equation_sums(w), _boundary_sum(w)
+    w = pairs.mu_prime()
+    v_diag, v_2n_2n = w.sums()
     res_tol = opts.residual_tol_scale * n
-    xbuf = np.empty((live.size, n, n))  # reused by every iterate
 
     for it in range(1, opts.max_iter + 1):
         if live.size == 0:
             break
-        step, ok = _pcg_block(v_diag, v_2n_2n, w[..., : n - 1], resid)
-        w = None  # release the pair matrix before the next evaluation
+        step, ok = _pcg_block(v_diag, v_2n_2n, w, resid)
         finish(live[~ok], "singular", it, resid[~ok], free_l[~ok])
         free_l = free_l + step
         diverged = ok & (np.abs(free_l).max(axis=1) > opts.divergence_guard)
@@ -484,29 +474,33 @@ def _newton_block(
         if live.size == 0:
             break
 
-        x = _strength_sums(free_l, out=xbuf[: live.size])
-        p = _zero_diagonal(np.asarray(model.mu(x), dtype=float))
-        resid = used[live] - _equation_sums(p)
+        # the new strength sums are built before the old mu' matrices go,
+        # and dropped once the new ones exist: then at most one n x n block
+        # is free at a time, which the allocator reuses instead of handing
+        # it back to the system (the anchor cell took 3x the page faults
+        # and 0.2 s more when both went at once)
+        pairs = _pairs(free_l, model)
+        w = None
+        mu = pairs.mu()
+        resid = used[live] - mu.sums()[0]
         if not np.all(np.isfinite(resid)):
             raise NumericalFailure(f"non-finite residual at iteration {it}")
         finish(live[conv], None, it, resid[conv], free_l[conv])
-        if sums is not None:
-            # row by row, so the p(1-p) temporary stays n x n
-            for row in np.flatnonzero(conv):
-                sums[0][live[row]], sums[1][live[row]] = _bernoulli_sums(p[row])
-        p = None
-        # mu'(x) on the rows that step again, and on the converged ones
-        # when their variance sums are wanted
+        if sums is not None and conv.any():
+            rows = np.flatnonzero(conv)
+            sums[0][live[rows]], sums[1][live[rows]] = mu.bernoulli_sums(rows)
+        mu = None
+        # mu' on the rows that step again, and on the converged ones when
+        # their variance sums are wanted
         need = np.ones_like(conv) if sums is not None else ~conv
         if need.any():
-            w = _zero_diagonal(
-                np.asarray(model.mu_prime(x if need.all() else x[need]), dtype=float)
-            )
-            v_diag, v_2n_2n = _equation_sums(w), _boundary_sum(w)
+            w = pairs.take(need).mu_prime()
+            v_diag, v_2n_2n = w.sums()
             if sums is not None and conv.any():
                 sums[2][live[conv]] = v_diag[conv]
                 sums[3][live[conv]] = v_2n_2n[conv]
-                w, v_diag, v_2n_2n = w[~conv], v_diag[~conv], v_2n_2n[~conv]
+                w, v_diag, v_2n_2n = w.take(~conv), v_diag[~conv], v_2n_2n[~conv]
+        pairs = None
         live, free_l, resid = live[~conv], free_l[~conv], resid[~conv]
 
     finish(live, "max_iter", opts.max_iter, resid, free_l)
@@ -518,6 +512,7 @@ def newton_solve(
     model: EdgeMeanModel,
     init: ParameterVector | None = None,
     opts: SolveOptions | None = None,
+    with_variance: bool = False,
 ) -> FitResult:
     """Solve the moment equations by full Newton steps.
 
@@ -536,7 +531,10 @@ def newton_solve(
     ||theta||_inf, or a singular solve.
 
     This is the one-row case of the stacked solver that also fits the
-    simulation harness's blocks of replications.
+    simulation harness's blocks of replications.  with_variance attaches
+    the plug-in variances at an existing estimate (as variance_estimates
+    would give them, with the noise term of a NoisyBiDegree release), from
+    the pair sums of the last residual's iterate.
 
     Raises NumericalFailure if a residual evaluates to a non-finite value.
     """
@@ -548,9 +546,14 @@ def newton_solve(
     if theta.n != n:
         raise DomainError("init has wrong dimension")
     fit = _newton_block(
-        zout[None], zin[None], model, theta.to_free(), opts or SolveOptions()
+        zout[None],
+        zin[None],
+        model,
+        theta.to_free(),
+        opts or SolveOptions(),
+        with_sums=with_variance,
     )
-    return FitResult(
+    result = FitResult(
         theta=ParameterVector.from_free(fit.free[0]),
         exists=fit.reason[0] is None,
         reason=fit.reason[0],
@@ -559,6 +562,15 @@ def newton_solve(
         model=model.name,
         epsilon=epsilon,
     )
+    if with_variance and result.exists:
+        vi = fit.variance(z.params if isinstance(z, NoisyBiDegree) else None)
+        result = replace(
+            result,
+            var_diag=vi.z_diag[0],
+            shared_var=float(vi.shared_var[0]),
+            privacy_var=float(vi.privacy_var[0]),
+        )
+    return result
 
 
 @dataclass(frozen=True)
@@ -622,12 +634,6 @@ class VarianceInputs:
     privacy_var: float
 
 
-def _bernoulli_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equation sums and boundary sum of the Bernoulli variances p(1-p)."""
-    u = p * (1.0 - p)
-    return _equation_sums(u), _boundary_sum(u)
-
-
 def _variance_inputs(u_diag, u_2n_2n, v_diag, v_2n_2n, s_n_sq: float) -> VarianceInputs:
     """The variance components from the plug-in sums; stacked sums (one
     row per fit) give stacked components."""
@@ -656,17 +662,17 @@ def variance_estimates(
     model: EdgeMeanModel,
     privacy: PrivacyParams | None = None,
 ) -> VarianceInputs:
-    """Estimate the asymptotic-variance building blocks at theta_hat."""
-    x = theta_hat.alpha[:, None] + theta_hat.beta[None, :]
-    u_diag, u_2n_2n = _bernoulli_sums(
-        _zero_diagonal(np.asarray(model.mu(x), dtype=float))
-    )
-    w = _zero_diagonal(np.asarray(model.mu_prime(x), dtype=float))
+    """Estimate the asymptotic-variance building blocks at theta_hat: the
+    sums that newton_solve(with_variance=True) takes from its last iterate,
+    here from the pair operator at one given point."""
+    pairs = _pairs(theta_hat.to_free()[None], model)
+    u_diag, u_2n_2n = pairs.mu().bernoulli_sums([0])
+    v_diag, v_2n_2n = pairs.mu_prime().sums()
     return _variance_inputs(
-        u_diag,
-        float(u_2n_2n),
-        _equation_sums(w),
-        float(_boundary_sum(w)),
+        u_diag[0],
+        float(u_2n_2n[0]),
+        v_diag[0],
+        float(v_2n_2n[0]),
         _noise_sum_variance(theta_hat.n, privacy),
     )
 

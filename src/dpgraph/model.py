@@ -15,10 +15,13 @@ obey on a symmetric interval.  The probit family,
 is the primary instance; a logit instance is shipped to keep the interface
 honest about being model-agnostic.
 
-Phi is evaluated through the complementary error function,
-Phi(x) = erfc(-x/sqrt(2))/2, which is accurate to well below 1e-12 in
-absolute error over the whole real line (the test suite checks it against
-a quadrature oracle).
+Phi is evaluated by scipy.special.ndtr, which is accurate to well below
+1e-12 in absolute error over the whole real line (the test suite checks it
+against a quadrature oracle).
+
+The public callables reject non-finite input.  Each shipped model also
+carries unchecked versions of mu and mu', for the Newton core, whose
+arguments are finite by construction.
 """
 
 from __future__ import annotations
@@ -57,13 +60,15 @@ def _as_finite_array(x, name: str = "x") -> np.ndarray:
 
 def probit_mu(x) -> np.ndarray | float:
     """Standard normal CDF Phi(x); strictly inside (0, 1) for finite x."""
-    arr = _as_finite_array(x)
-    return ndtr(arr)
+    return ndtr(_as_finite_array(x))
 
 
 def probit_mu_prime(x) -> np.ndarray | float:
     """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2 pi)."""
-    arr = _as_finite_array(x)
+    return _phi(_as_finite_array(x))
+
+
+def _phi(arr: np.ndarray) -> np.ndarray | float:
     # exp(-0.5 x x) / sqrt(2 pi) in one buffer, updated in place
     out = np.multiply(-0.5, arr, out=np.empty_like(arr))
     out *= arr
@@ -79,7 +84,10 @@ def probit_mu_second(x) -> np.ndarray | float:
 
 
 def _logit_mu(x):
-    arr = _as_finite_array(x)
+    return _logistic(_as_finite_array(x))
+
+
+def _logistic(arr: np.ndarray) -> np.ndarray | float:
     flat = np.atleast_1d(arr).copy()
     pos = flat >= 0
     flat[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
@@ -90,7 +98,11 @@ def _logit_mu(x):
 
 
 def _logit_mu_prime(x):
-    p = _logit_mu(x)
+    return _logistic_prime(_as_finite_array(x))
+
+
+def _logistic_prime(arr: np.ndarray) -> np.ndarray | float:
+    p = _logistic(arr)
     return p * (1.0 - p)
 
 
@@ -128,7 +140,9 @@ class EdgeMeanModel:
     first and second derivatives.  All three callables accept scalars or
     numpy arrays.  ``analytic_bounds``, when present, returns closed-form
     derivative bounds for a given radius; models without it fall back to a
-    dense-grid scan in :func:`bounds_for`.
+    dense-grid scan in :func:`bounds_for`.  ``mu_unchecked`` and
+    ``mu_prime_unchecked``, when present, compute the same values as mu and
+    mu_prime for a float array, without checking that it is finite.
     """
 
     name: str
@@ -136,6 +150,12 @@ class EdgeMeanModel:
     mu_prime: Callable
     mu_second: Callable
     analytic_bounds: Callable[[float], ModelBounds] | None = None
+    mu_unchecked: Callable | None = None
+    mu_prime_unchecked: Callable | None = None
+
+    def inner(self) -> tuple[Callable, Callable]:
+        """(mu, mu') for float arrays that are finite by construction."""
+        return (self.mu_unchecked or self.mu, self.mu_prime_unchecked or self.mu_prime)
 
 
 def _probit_bounds(Q: float) -> ModelBounds:
@@ -155,6 +175,8 @@ PROBIT = EdgeMeanModel(
     mu_prime=probit_mu_prime,
     mu_second=probit_mu_second,
     analytic_bounds=_probit_bounds,
+    mu_unchecked=ndtr,
+    mu_prime_unchecked=_phi,
 )
 
 LOGIT = EdgeMeanModel(
@@ -162,6 +184,8 @@ LOGIT = EdgeMeanModel(
     mu=_logit_mu,
     mu_prime=_logit_mu_prime,
     mu_second=_logit_mu_second,
+    mu_unchecked=_logistic,
+    mu_prime_unchecked=_logistic_prime,
 )
 
 _MODELS = {"probit": PROBIT, "logit": LOGIT}

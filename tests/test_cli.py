@@ -177,6 +177,23 @@ class TestEstimate:
             assert err.count("\n") == 1 and "epsilon must be a finite number" in err
             assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize(
+        "n", [3.7, 4.0, "4", True, None],
+        ids=["fraction", "integral-float", "string", "bool", "null"],
+    )
+    def test_non_integer_n_rejected(self, tmp_path, capsys, n):
+        # a JSON float or string was once truncated to an int, and true
+        # read as n=1
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"n": n, "z_out": [1, 1, 2, 1],
+                                    "z_in": [1, 2, 1, 1]}))
+        code = run_cli("estimate", str(path), "--raw",
+                       "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n must be an integer" in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_private_fit_reports_noise_variance(self, tmp_path):
         theta = ParameterVector.zeros(40)
         eo, ei = expected_bidegree(theta, PROBIT)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpgraph import estimator
+from dpgraph import estimator, pairs
 from dpgraph import (
     DomainError,
     NoisyBiDegree,
@@ -268,6 +270,189 @@ class TestPcgSolve:
         # the diagnostics are the only place dense V is built
         with pytest.raises(DenseV):
             s_approx_error(jacobian(theta, PROBIT))
+
+
+def box_free(n, half_width, seed, center=0.0):
+    """Free coordinates with alpha and beta drawn on [c - H, c + H]."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-half_width, half_width, n) + center
+    beta = rng.uniform(-half_width, half_width, n - 1) + center
+    return np.concatenate([alpha, beta])
+
+
+def dense_backend(free, model):
+    return pairs._DenseIterate(free[None], model.inner())
+
+
+def assert_backends_agree(got, want, n, rng):
+    """Sums, Bernoulli sums and cross products of two backends at one row;
+    the bound is a few times the compressed path's rounding floor, which
+    is about 4e-15 n at n = 2000."""
+    tol = 1e-14 * n
+    for a, b in zip(got.mu().bernoulli_sums([0]), want.mu().bernoulli_sums([0])):
+        np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+    for which in ("mu", "mu_prime"):
+        g, w = getattr(got, which)(), getattr(want, which)()
+        for a, b in zip(g.sums(), w.sums()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+        # three right-hand sides share the one-row operator
+        p = rng.standard_normal((3, 2 * n - 1))
+        qa, qb = np.empty_like(p), np.empty_like(p)
+        g.products(p, qa)
+        w.products(p, qb)
+        np.testing.assert_allclose(qa, qb, rtol=0, atol=tol)
+
+
+class TestPairOperator:
+    """The compressed backend of the pair operator against the dense one."""
+
+    @settings(max_examples=16, deadline=None, database=None, derandomize=True)
+    @given(
+        half_width=st.sampled_from([0.2, 1.5, 2.2, 3.0]),
+        n=st.sampled_from([300, 2000]),
+        model_name=st.sampled_from(["probit", "logit"]),
+        center=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_compressed_matches_dense(self, half_width, n, model_name, center, seed):
+        from dpgraph import get_model
+
+        model = get_model(model_name)
+        free = box_free(n, half_width, seed, center)
+        row = pairs._cheb_iterate(free, model.inner())
+        # 32 nodes resolve mu, mu' and mu(1-mu) up to half-width 1.5; at 3
+        # the trailing coefficients of mu(1-mu) reach 1e-11 to 1e-10, so
+        # the row is dense
+        if half_width <= 1.5:
+            assert row is not None
+        if half_width == 3.0:
+            assert row is None
+        if row is not None:
+            assert_backends_agree(row, dense_backend(free, model), n,
+                                  np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("which", ["both", "beta"])
+    def test_zero_width_box_is_exact(self, which):
+        n = 300
+        free = np.zeros(2 * n - 1)
+        if which == "beta":
+            free[:n] = np.linspace(-1.0, 1.0, n)
+        row = pairs._cheb_iterate(free, PROBIT.inner())
+        la, lb = row.mu().la, row.mu().lb
+        assert lb.shape == (n, 1) and np.all(lb == 1.0)
+        assert la.shape == ((n, 1) if which == "both" else (n, 32))
+        assert_backends_agree(row, dense_backend(free, PROBIT), n,
+                              np.random.default_rng(0))
+
+    def test_strength_on_a_node_gets_a_one_hot_row(self):
+        n = 300
+        free = box_free(n, 1.0, 4)
+        lo, hi = free[:n].min(), free[:n].max()
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * pairs._CHEB_T
+        free[7], free[8] = nodes[5], nodes[20]
+        row = pairs._cheb_iterate(free, PROBIT.inner())
+        la = row.mu().la
+        assert np.all(np.isfinite(la))
+        np.testing.assert_array_equal(la[7], np.eye(32)[5])
+        np.testing.assert_array_equal(la[8], np.eye(32)[20])
+        assert_backends_agree(row, dense_backend(free, PROBIT), n,
+                              np.random.default_rng(1))
+
+    @pytest.mark.parametrize("model_name", ["probit", "logit"])
+    def test_too_wide_box_falls_back_to_dense(self, model_name):
+        from dpgraph import get_model
+
+        model = get_model(model_name)
+        n = 300
+        free = box_free(n, 5.0, 2)
+        assert pairs._cheb_iterate(free, model.inner()) is None
+        op = pairs._pairs(np.stack([free, box_free(n, 0.5, 3)]), model)
+        assert isinstance(op.parts[0], pairs._DenseIterate)
+        assert isinstance(op.parts[1], pairs._ChebIterate)
+
+    def test_unresolved_bernoulli_grid_alone_falls_back(self):
+        # at half-width 2.5 the probit mu and mu' grids are resolved, but
+        # Phi(1 - Phi) is not, and the variance sums would be off
+        n = 300
+        free = box_free(n, 2.5, 6)
+        la, nodes_a = pairs._barycentric(free[:n])
+        lb, nodes_b = pairs._barycentric(np.append(free[n:], 0.0))
+        grid = nodes_a[:, None] + nodes_b[None, :]
+        mu, mu_prime = (fn(grid) for fn in PROBIT.inner())
+        assert pairs._cheb_resolved(mu) and pairs._cheb_resolved(mu_prime)
+        assert not pairs._cheb_resolved(mu * (1.0 - mu))
+        assert pairs._cheb_iterate(free, PROBIT.inner()) is None
+
+    def test_small_n_stays_dense(self):
+        n = pairs._DENSE_BELOW - 1
+        op = pairs._pairs(np.stack([box_free(n, 0.5, 1)] * 3), PROBIT)
+        assert len(op.parts) == 1
+        assert isinstance(op.parts[0], pairs._DenseIterate)
+
+    def test_oracle_recovery_at_n_2000(self, monkeypatch):
+        theta = random_theta(2000, 0.75, 2000)
+        z = expected_bidegree(theta, PROBIT)
+
+        def refuse(free):
+            raise AssertionError("the fit built a dense n x n array")
+
+        monkeypatch.setattr(pairs, "_strength_sums", refuse)
+        fit = newton_solve(z, PROBIT, with_variance=True)
+        assert fit.exists
+        assert np.abs(fit.theta.to_free() - theta.to_free()).max() <= 1e-8
+        assert np.all(fit.var_diag > 0)
+
+    def test_compressed_block_rows_equal_lone_fits(self):
+        n = 200
+        rows = [expected_bidegree(random_theta(n, scale, seed), PROBIT)
+                for scale, seed in ((0.3, 1), (1.0, 2), (0.6, 3))]
+        zout = np.array([r[0] for r in rows])
+        zin = np.array([r[1] for r in rows])
+        start = np.zeros(2 * n - 1)
+        opts = SolveOptions()
+        block = estimator._newton_block(zout, zin, PROBIT, start, opts, with_sums=True)
+        for k, z in enumerate(rows):
+            alone = estimator._newton_block(zout[k : k + 1], zin[k : k + 1], PROBIT,
+                                            start, opts, with_sums=True)
+            fit = newton_solve(z, PROBIT, with_variance=True)
+            assert block.reason[k] is None and fit.exists
+            assert block.iterations[k] == fit.iterations
+            assert np.array_equal(block.free[k], fit.theta.to_free())
+            assert block.residual_norm[k] == fit.residual_norm
+            for got, want in zip(block.sums, alone.sums):
+                assert np.array_equal(got[k], want[0])
+
+    def test_fit_at_n_20000_stays_in_o_n_memory(self, monkeypatch):
+        import tracemalloc
+
+        # a truth with four strength levels, so that the expected degrees
+        # are sums over the levels: n x 4 work instead of n x n
+        n = 20_000
+        levels = np.array([-0.4, 0.0, 0.3, 0.6])
+        alpha = levels[np.arange(n) % 4]
+        beta = levels[(np.arange(n) + 1) % 4]
+        beta[-1] = 0.0
+        theta = ParameterVector(alpha=alpha, beta=beta)
+        counts = np.array([(beta == b).sum() for b in levels])
+        z_out = PROBIT.mu(alpha[:, None] + levels) @ counts - PROBIT.mu(alpha + beta)
+        z_in = PROBIT.mu(beta[:, None] + levels) @ np.array(
+            [(alpha == a).sum() for a in levels]
+        ) - PROBIT.mu(alpha + beta)
+
+        def refuse(free):
+            raise AssertionError("the fit built a dense n x n array")
+
+        monkeypatch.setattr(pairs, "_strength_sums", refuse)
+        tracemalloc.start()
+        try:
+            fit = newton_solve((z_out, z_in), PROBIT, with_variance=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.exists
+        assert np.abs(fit.theta.to_free() - theta.to_free()).max() <= 1e-8
+        # one dense n x n float array alone would take 3.2 GB
+        assert peak < 64 * 2**20
 
 
 class TestNewtonSolve:

@@ -177,6 +177,22 @@ class TestBounds:
             bounds_for(PROBIT, -1.0)
 
 
+class TestUncheckedPath:
+    @pytest.mark.parametrize("model", [PROBIT, LOGIT], ids=["probit", "logit"])
+    def test_equals_the_checked_callables(self, model):
+        x = np.add.outer(GRID, GRID[::3])
+        mu, mu_prime = model.inner()
+        assert mu is not model.mu and mu_prime is not model.mu_prime
+        np.testing.assert_array_equal(mu(x), model.mu(x))
+        np.testing.assert_array_equal(mu_prime(x), model.mu_prime(x))
+
+    def test_model_without_it_falls_back_to_the_checked_callables(self):
+        from dpgraph import EdgeMeanModel
+
+        bare = EdgeMeanModel("bare", probit_mu, probit_mu_prime, probit_mu_second)
+        assert bare.inner() == (probit_mu, probit_mu_prime)
+
+
 class TestRegistry:
     def test_lookup(self):
         assert get_model("probit") is PROBIT
