@@ -86,9 +86,9 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
         doc = json.loads(text)
         try:
             n = _json_n(doc["n"], path)
-            z_out = np.asarray(doc["z_out"], dtype=float)
-            z_in = np.asarray(doc["z_in"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            z_out = _json_degrees(doc["z_out"], "z_out", path)
+            z_in = _json_degrees(doc["z_in"], "z_in", path)
+        except (KeyError, OverflowError) as exc:
             raise EdgeListParseError(f"bad degrees JSON in {path}: {exc}")
         if z_out.shape != (n,) or z_in.shape != (n,):
             raise EdgeListParseError(f"degree vectors in {path} do not match n={n}")
@@ -103,6 +103,16 @@ def _json_n(n, path: str) -> int:
         return n
     raise EdgeListParseError(
         f"bad degrees JSON in {path}: n must be an integer, got {n!r}"
+    )
+
+
+def _json_degrees(values, key: str, path: str) -> np.ndarray:
+    """A degrees JSON's z_out or z_in: a list of JSON numbers (not bools,
+    strings, nulls or lists)."""
+    if isinstance(values, list) and all(type(v) in (int, float) for v in values):
+        return np.array(values, dtype=float)  # OverflowError beyond float range
+    raise EdgeListParseError(
+        f"bad degrees JSON in {path}: {key} must be a list of numbers"
     )
 
 
@@ -135,16 +145,12 @@ def cmd_estimate(args) -> int:
         both = np.concatenate([z_out, z_in])
         if not np.all(np.isfinite(both)):
             raise NumericalFailure("non-finite degree input")
-        if np.any(both != np.rint(both)):
+        if np.any(both != np.rint(both)) or np.any(np.abs(both) >= 2.0**63):
             raise EdgeListParseError(
-                "private release degrees must be integers; "
-                "use --raw for real-valued degrees"
+                "private release degrees must be integers below 2**63 in "
+                "magnitude; use --raw for real-valued degrees"
             )
-        z = NoisyBiDegree(
-            z_out=z_out.astype(np.int64),
-            z_in=z_in.astype(np.int64),
-            params=PrivacyParams.from_epsilon(epsilon),
-        )
+        z = NoisyBiDegree(z_out, z_in, PrivacyParams.from_epsilon(epsilon))
     fit = newton_solve(z, model, with_variance=True)
     _dump_json(args.out, fit.to_json_dict())
     if fit.exists:

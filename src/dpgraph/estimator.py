@@ -55,9 +55,16 @@ from .errors import (
     NumericalFailure,
     SingularSystemError,
 )
-from .graph import BiDegree, ParameterVector, _pair_matrix
+from .graph import BiDegree, ParameterVector
 from .model import EdgeMeanModel, bounds_for
-from .pairs import _boundary_sum, _DensePairs, _equation_sums, _Pairs, _pairs
+from .pairs import (
+    _boundary_sum,
+    _DensePairs,
+    _equation_sums,
+    _pair_matrix,
+    _Pairs,
+    _pairs,
+)
 from .privacy import NoisyBiDegree, PrivacyParams
 
 __all__ = [
@@ -442,8 +449,10 @@ def _newton_block(
     # outside it admits no solution; summing the out-equations minus the
     # in-equations shows any solution also satisfies sum(z+) -
     # sum(z-_{1..n-1}) = sum_{k != n} mu(alpha_k + beta_n), so the implied
-    # n-th in-degree must lie there too
-    implied = zout.sum(axis=1) - zin[:, : n - 1].sum(axis=1)
+    # n-th in-degree must lie there too (sums of huge degrees may overflow
+    # to inf or nan, which fall outside it as well)
+    with np.errstate(over="ignore", invalid="ignore"):
+        implied = zout.sum(axis=1) - zin[:, : n - 1].sum(axis=1)
     in_range = (
         np.all((used > 0.0) & (used < n - 1.0), axis=1)
         & (implied > 0.0)

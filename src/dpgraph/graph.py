@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DomainError, EdgeListParseError
 from .model import EdgeMeanModel
+from .pairs import _pair_matrix
 
 __all__ = [
     "DirectedGraph",
@@ -130,19 +131,6 @@ class ParameterVector:
     @classmethod
     def zeros(cls, n: int) -> "ParameterVector":
         return cls(alpha=np.zeros(n), beta=np.zeros(n))
-
-
-def _zero_diagonal(m: np.ndarray) -> np.ndarray:
-    """Zero the diagonal of every stacked n x n matrix in m, in place."""
-    i = np.arange(m.shape[-1])
-    m[..., i, i] = 0.0
-    return m
-
-
-def _pair_matrix(theta: ParameterVector, fn) -> np.ndarray:
-    """Evaluate fn over all strength sums alpha_i + beta_j, zero diagonal."""
-    x = theta.alpha[:, None] + theta.beta[None, :]
-    return _zero_diagonal(np.asarray(fn(x), dtype=float))
 
 
 def _draw_graph(p: np.ndarray, rng: np.random.Generator) -> DirectedGraph:

@@ -5,23 +5,27 @@ edge indicator as a function of the sum of the two node strengths,
 
     E(a_ij) = mu(alpha_i + beta_j),
 
-together with its first two derivatives and the bounds those derivatives
-obey on a symmetric interval.  The probit family,
+together with its first two derivatives and the global bound eta1 on
+|mu''|.  The probit family,
 
     mu(x)   = Phi(x)                    (standard normal CDF)
     mu'(x)  = phi(x) = exp(-x^2/2)/sqrt(2 pi)
     mu''(x) = -x phi(x),
 
-is the primary instance; a logit instance is shipped to keep the interface
-honest about being model-agnostic.
+is the primary instance; a logit instance (mu = expit) is shipped to keep
+the interface honest about being model-agnostic.
 
 Phi is evaluated by scipy.special.ndtr, which is accurate to well below
 1e-12 in absolute error over the whole real line (the test suite checks it
 against a quadrature oracle).
 
-The public callables reject non-finite input.  Each shipped model also
-carries unchecked versions of mu and mu', for the Newton core, whose
-arguments are finite by construction.
+Model contract: mu is strictly increasing, mu' is even and non-increasing
+in |x|, and mu, mu' and mu'' are plain vectorised functions of float
+scalars or arrays that do not check their input.  Callers pass finite
+values.  Outside data are checked where they enter: ParameterVector and
+the CLI parsers reject non-finite values, the degree types hold int64
+counts, and the exported probit_mu, probit_mu_prime and probit_mu_second
+reject non-finite input.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from .errors import DomainError
 
@@ -48,13 +52,12 @@ __all__ = [
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-ETA1_PROBIT = 1.0 / math.sqrt(2.0 * math.pi * math.e)  # global max of |mu''|
 
 
-def _as_finite_array(x, name: str = "x") -> np.ndarray:
+def _as_finite_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
+        raise DomainError("x must be finite")
     return arr
 
 
@@ -68,7 +71,7 @@ def probit_mu_prime(x) -> np.ndarray | float:
     return _phi(_as_finite_array(x))
 
 
-def _phi(arr: np.ndarray) -> np.ndarray | float:
+def _phi(arr) -> np.ndarray | float:
     # exp(-0.5 x x) / sqrt(2 pi) in one buffer, updated in place
     out = np.multiply(-0.5, arr, out=np.empty_like(arr))
     out *= arr
@@ -79,36 +82,22 @@ def _phi(arr: np.ndarray) -> np.ndarray | float:
 
 def probit_mu_second(x) -> np.ndarray | float:
     """Second derivative -x phi(x); |value| <= 1/sqrt(2 pi e), peak at |x| = 1."""
-    arr = _as_finite_array(x)
+    return _phi_prime(_as_finite_array(x))
+
+
+def _phi_prime(arr) -> np.ndarray | float:
     return -arr * np.exp(-0.5 * arr * arr) / SQRT_2PI
 
 
-def _logit_mu(x):
-    return _logistic(_as_finite_array(x))
-
-
-def _logistic(arr: np.ndarray) -> np.ndarray | float:
-    flat = np.atleast_1d(arr).copy()
-    pos = flat >= 0
-    flat[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    e = np.exp(flat[~pos])
-    flat[~pos] = e / (1.0 + e)
-    # [()] turns a 0-d result into a scalar and leaves arrays as they are
-    return flat.reshape(arr.shape)[()]
-
-
-def _logit_mu_prime(x):
-    return _logistic_prime(_as_finite_array(x))
-
-
-def _logistic_prime(arr: np.ndarray) -> np.ndarray | float:
-    p = _logistic(arr)
+def _logit_mu_prime(x) -> np.ndarray | float:
+    # from the smaller of p and 1 - p, so the value is exactly even and
+    # stays positive wherever expit(-|x|) does not underflow (|x| < 745)
+    p = expit(-np.abs(x))
     return p * (1.0 - p)
 
 
-def _logit_mu_second(x):
-    p = _logit_mu(x)
-    return p * (1.0 - p) * (1.0 - 2.0 * p)
+def _logit_mu_second(x) -> np.ndarray | float:
+    return _logit_mu_prime(x) * (1.0 - 2.0 * expit(x))
 
 
 @dataclass(frozen=True)
@@ -124,8 +113,8 @@ class ModelBounds:
     eta1: float
 
     def __post_init__(self):
-        if not (self.Q >= 0.0):
-            raise DomainError("Q must be >= 0")
+        if not (0.0 <= self.Q < math.inf):
+            raise DomainError("Q must be finite and >= 0")
         if not (0.0 < self.m <= self.M):
             raise DomainError("bounds must satisfy 0 < m <= M")
         if self.eta1 < 0.0:
@@ -136,56 +125,33 @@ class ModelBounds:
 class EdgeMeanModel:
     """An edge-mean family: mu maps a strength sum to a probability in (0, 1).
 
-    mu must be strictly increasing; mu_prime and mu_second are its exact
-    first and second derivatives.  All three callables accept scalars or
-    numpy arrays.  ``analytic_bounds``, when present, returns closed-form
-    derivative bounds for a given radius; models without it fall back to a
-    dense-grid scan in :func:`bounds_for`.  ``mu_unchecked`` and
-    ``mu_prime_unchecked``, when present, compute the same values as mu and
-    mu_prime for a float array, without checking that it is finite.
+    mu_prime and mu_second are the exact first and second derivatives of
+    mu, and eta1 is the global maximum of |mu_second|.  The three callables
+    follow the model contract of this module: unchecked, vectorised, with
+    mu_prime even and non-increasing in |x|.
     """
 
     name: str
     mu: Callable
     mu_prime: Callable
     mu_second: Callable
-    analytic_bounds: Callable[[float], ModelBounds] | None = None
-    mu_unchecked: Callable | None = None
-    mu_prime_unchecked: Callable | None = None
-
-    def inner(self) -> tuple[Callable, Callable]:
-        """(mu, mu') for float arrays that are finite by construction."""
-        return (self.mu_unchecked or self.mu, self.mu_prime_unchecked or self.mu_prime)
-
-
-def _probit_bounds(Q: float) -> ModelBounds:
-    # mu' = phi peaks at 0 and is smallest at the interval ends; the global
-    # second-derivative bound 1/sqrt(2 pi e) is used for every Q.
-    return ModelBounds(
-        Q=Q,
-        m=float(probit_mu_prime(Q)),
-        M=float(probit_mu_prime(0.0)),
-        eta1=ETA1_PROBIT,
-    )
+    eta1: float
 
 
 PROBIT = EdgeMeanModel(
     name="probit",
-    mu=probit_mu,
-    mu_prime=probit_mu_prime,
-    mu_second=probit_mu_second,
-    analytic_bounds=_probit_bounds,
-    mu_unchecked=ndtr,
-    mu_prime_unchecked=_phi,
+    mu=ndtr,
+    mu_prime=_phi,
+    mu_second=_phi_prime,
+    eta1=1.0 / math.sqrt(2.0 * math.pi * math.e),  # |mu''| peaks at |x| = 1
 )
 
 LOGIT = EdgeMeanModel(
     name="logit",
-    mu=_logit_mu,
+    mu=expit,
     mu_prime=_logit_mu_prime,
     mu_second=_logit_mu_second,
-    mu_unchecked=_logistic,
-    mu_prime_unchecked=_logistic_prime,
+    eta1=math.sqrt(3.0) / 18.0,  # |mu''| peaks where mu = (3 +- sqrt 3)/6
 )
 
 _MODELS = {"probit": PROBIT, "logit": LOGIT}
@@ -201,31 +167,15 @@ def get_model(name: str) -> EdgeMeanModel:
         ) from None
 
 
-GRID_STEP = 1e-3
-OUTWARD_PAD = 1e-9
-
-
 def bounds_for(model: EdgeMeanModel, Q: float) -> ModelBounds:
     """Derivative bounds of ``model`` on [-Q, Q].
 
-    Uses the model's closed form when it has one; otherwise scans a grid of
-    step <= 1e-3 and rounds the extrema outward so the returned interval is
-    conservative.
+    mu' is even and non-increasing in |x| (the model contract), so it is
+    smallest at +-Q and largest at 0; eta1 is the model's global bound.
     """
-    if not (np.isfinite(Q) and Q >= 0.0):
-        raise DomainError("Q must be finite and >= 0")
-    if model.analytic_bounds is not None:
-        return model.analytic_bounds(float(Q))
-    if Q == 0.0:
-        grid = np.array([0.0])
-    else:
-        npts = max(3, int(math.ceil(2.0 * Q / GRID_STEP)) + 1)
-        grid = np.linspace(-Q, Q, npts)
-    d1 = np.asarray(model.mu_prime(grid), dtype=float)
-    d2 = np.abs(np.asarray(model.mu_second(grid), dtype=float))
     return ModelBounds(
         Q=float(Q),
-        m=float(d1.min()) - OUTWARD_PAD,
-        M=float(d1.max()) + OUTWARD_PAD,
-        eta1=float(d2.max()) + OUTWARD_PAD,
+        m=float(model.mu_prime(float(Q))),
+        M=float(model.mu_prime(0.0)),
+        eta1=model.eta1,
     )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import _zero_diagonal
 from .model import EdgeMeanModel
 
 _CHEB_NODES = 32
@@ -58,6 +57,19 @@ def _strength_sums(free: np.ndarray) -> np.ndarray:
     beta = np.zeros(free.shape[:-1] + (n,))
     beta[..., : n - 1] = free[..., n:]
     return free[..., :n, None] + beta[..., None, :]
+
+
+def _zero_diagonal(m: np.ndarray) -> np.ndarray:
+    """Zero the diagonal of every stacked n x n matrix in m, in place."""
+    i = np.arange(m.shape[-1])
+    m[..., i, i] = 0.0
+    return m
+
+
+def _pair_matrix(theta, fn) -> np.ndarray:
+    """fn at every strength sum alpha_i + beta_j of theta, zero diagonal."""
+    x = _strength_sums(theta.to_free())
+    return _zero_diagonal(np.asarray(fn(x), dtype=float))
 
 
 def _bernoulli_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +280,7 @@ class _Pairs:
 def _pairs(free: np.ndarray, model: EdgeMeanModel) -> _Pairs:
     """The pair operator at stacked free coordinates: dense below
     _DENSE_BELOW nodes, else row by row compressed where the box allows."""
-    fns = model.inner()
+    fns = (model.mu, model.mu_prime)
     n = (free.shape[-1] + 1) // 2
     if n < _DENSE_BELOW:
         return _Pairs([_DenseIterate(free, fns)])

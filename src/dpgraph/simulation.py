@@ -45,14 +45,9 @@ from .estimator import (
     _normal_quantile,
     _stat_indices,
 )
-from .graph import (
-    ParameterVector,
-    _draw_graph,
-    _pair_matrix,
-    degrees,
-    expected_bidegree,
-)
+from .graph import ParameterVector, _draw_graph, degrees, expected_bidegree
 from .model import get_model
+from .pairs import _pair_matrix
 from .privacy import PrivacyParams, deviation_bound, privatize
 
 # The harness runs its own stacked path, but these names stay importable

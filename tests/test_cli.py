@@ -4,9 +4,27 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpgraph import ParameterVector, PROBIT, expected_bidegree
 from dpgraph.cli import main
+
+# any JSON value: scalars of every JSON type, and lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# degree values for n = 4: numbers inside the attainable range (0, 3), so
+# that many inputs reach the fit, and numbers at the edges of the int64 and
+# float ranges
+DEGREE_NUMBERS = st.one_of(
+    st.integers(1, 2),
+    st.floats(0.5, 2.5),
+    st.sampled_from([2**63, -(2**63) - 1, 10**400, 1e308, -1e308, float("nan")]),
+)
 
 
 def run_cli(*argv) -> int:
@@ -193,6 +211,45 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "n must be an integer" in err
         assert not (tmp_path / "fit.json").exists()
+
+    def test_non_numeric_degree_entries_rejected(self, tmp_path, capsys):
+        # strings and booleans were once read as the numbers they spell
+        path = tmp_path / "deg.json"
+        path.write_text('{"n": 4, "z_out": ["1", true, 2, 1], "z_in": [1, 2, 1, 1]}')
+        code = run_cli("estimate", str(path), "--raw",
+                       "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "z_out must be a list of numbers" in err
+        assert not (tmp_path / "fit.json").exists()
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        degrees=st.lists(DEGREE_NUMBERS, min_size=8, max_size=8),
+        junk=st.none() | st.tuples(st.integers(0, 7), JSON_VALUES),
+        epsilon=st.sampled_from([None, 2.0]),
+        mode=st.sampled_from([[], ["--raw"], ["--private"]]),
+    )
+    def test_arbitrary_degree_entries_end_in_a_documented_exit(
+        self, tmp_path, capsys, degrees, junk, epsilon, mode
+    ):
+        if junk is not None:
+            degrees[junk[0]] = junk[1]
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps(
+            {"n": 4, "epsilon": epsilon, "z_out": degrees[:4], "z_in": degrees[4:]}
+        ))
+        code = run_cli("estimate", str(path), *mode,
+                       "--out", str(tmp_path / "fit.json"))
+        assert code in (0, 1, 2, 3, 64)
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
 
     def test_private_fit_reports_noise_variance(self, tmp_path):
         theta = ParameterVector.zeros(40)

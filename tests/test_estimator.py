@@ -281,7 +281,7 @@ def box_free(n, half_width, seed, center=0.0):
 
 
 def dense_backend(free, model):
-    return pairs._DenseIterate(free[None], model.inner())
+    return pairs._DenseIterate(free[None], (model.mu, model.mu_prime))
 
 
 def assert_backends_agree(got, want, n, rng):
@@ -319,7 +319,7 @@ class TestPairOperator:
 
         model = get_model(model_name)
         free = box_free(n, half_width, seed, center)
-        row = pairs._cheb_iterate(free, model.inner())
+        row = pairs._cheb_iterate(free, (model.mu, model.mu_prime))
         # 32 nodes resolve mu, mu' and mu(1-mu) up to half-width 1.5; at 3
         # the trailing coefficients of mu(1-mu) reach 1e-11 to 1e-10, so
         # the row is dense
@@ -337,7 +337,7 @@ class TestPairOperator:
         free = np.zeros(2 * n - 1)
         if which == "beta":
             free[:n] = np.linspace(-1.0, 1.0, n)
-        row = pairs._cheb_iterate(free, PROBIT.inner())
+        row = pairs._cheb_iterate(free, (PROBIT.mu, PROBIT.mu_prime))
         la, lb = row.mu().la, row.mu().lb
         assert lb.shape == (n, 1) and np.all(lb == 1.0)
         assert la.shape == ((n, 1) if which == "both" else (n, 32))
@@ -350,7 +350,7 @@ class TestPairOperator:
         lo, hi = free[:n].min(), free[:n].max()
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * pairs._CHEB_T
         free[7], free[8] = nodes[5], nodes[20]
-        row = pairs._cheb_iterate(free, PROBIT.inner())
+        row = pairs._cheb_iterate(free, (PROBIT.mu, PROBIT.mu_prime))
         la = row.mu().la
         assert np.all(np.isfinite(la))
         np.testing.assert_array_equal(la[7], np.eye(32)[5])
@@ -365,7 +365,7 @@ class TestPairOperator:
         model = get_model(model_name)
         n = 300
         free = box_free(n, 5.0, 2)
-        assert pairs._cheb_iterate(free, model.inner()) is None
+        assert pairs._cheb_iterate(free, (model.mu, model.mu_prime)) is None
         op = pairs._pairs(np.stack([free, box_free(n, 0.5, 3)]), model)
         assert isinstance(op.parts[0], pairs._DenseIterate)
         assert isinstance(op.parts[1], pairs._ChebIterate)
@@ -378,10 +378,10 @@ class TestPairOperator:
         la, nodes_a = pairs._barycentric(free[:n])
         lb, nodes_b = pairs._barycentric(np.append(free[n:], 0.0))
         grid = nodes_a[:, None] + nodes_b[None, :]
-        mu, mu_prime = (fn(grid) for fn in PROBIT.inner())
+        mu, mu_prime = PROBIT.mu(grid), PROBIT.mu_prime(grid)
         assert pairs._cheb_resolved(mu) and pairs._cheb_resolved(mu_prime)
         assert not pairs._cheb_resolved(mu * (1.0 - mu))
-        assert pairs._cheb_iterate(free, PROBIT.inner()) is None
+        assert pairs._cheb_iterate(free, (PROBIT.mu, PROBIT.mu_prime)) is None
 
     def test_small_n_stays_dense(self):
         n = pairs._DENSE_BELOW - 1

@@ -10,6 +10,7 @@ from dpgraph import (
     DomainError,
     LOGIT,
     PROBIT,
+    SolveOptions,
     bounds_for,
     get_model,
     probit_mu,
@@ -113,6 +114,10 @@ class TestProbitSecondDerivative:
         fd = (probit_mu_prime(GRID + h) - probit_mu_prime(GRID - h)) / (2 * h)
         np.testing.assert_allclose(fd, probit_mu_second(GRID), rtol=1e-6, atol=1e-12)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            probit_mu_second(np.array([0.0, np.nan]))
+
 
 class TestLogit:
     def test_midpoint(self):
@@ -177,20 +182,24 @@ class TestBounds:
             bounds_for(PROBIT, -1.0)
 
 
-class TestUncheckedPath:
-    @pytest.mark.parametrize("model", [PROBIT, LOGIT], ids=["probit", "logit"])
-    def test_equals_the_checked_callables(self, model):
-        x = np.add.outer(GRID, GRID[::3])
-        mu, mu_prime = model.inner()
-        assert mu is not model.mu and mu_prime is not model.mu_prime
-        np.testing.assert_array_equal(mu(x), model.mu(x))
-        np.testing.assert_array_equal(mu_prime(x), model.mu_prime(x))
+@pytest.mark.parametrize("model", [PROBIT, LOGIT], ids=["probit", "logit"])
+class TestModelContract:
+    def test_eta1_is_the_peak_of_mu_second(self, model):
+        x = np.linspace(-10.0, 10.0, 200001)  # step 1e-4
+        assert abs(np.abs(model.mu_second(x)).max() - model.eta1) <= 1e-9
 
-    def test_model_without_it_falls_back_to_the_checked_callables(self):
-        from dpgraph import EdgeMeanModel
+    def test_mu_prime_even_and_non_increasing_in_abs_x(self, model):
+        x = np.linspace(0.0, 40.0, 40001)
+        d1 = model.mu_prime(x)
+        np.testing.assert_array_equal(model.mu_prime(-x), d1)
+        assert np.all(np.diff(d1) <= 0.0)
 
-        bare = EdgeMeanModel("bare", probit_mu, probit_mu_prime, probit_mu_second)
-        assert bare.inner() == (probit_mu, probit_mu_prime)
+
+def test_logit_mu_prime_positive_within_twice_the_divergence_guard():
+    # Newton iterates stay within the guard, so their strength sums stay
+    # within twice it; a zero mu' there would make the Jacobian singular
+    q = 2.0 * SolveOptions().divergence_guard
+    assert np.all(LOGIT.mu_prime(np.linspace(-q, q, 200001)) > 0.0)
 
 
 class TestRegistry:
