@@ -15,7 +15,6 @@ from .estimator import (
     FitResult,
     JacobianMatrix,
     SApprox,
-    SolveOptions,
     VarianceInputs,
     build_s_approx,
     confidence_interval,

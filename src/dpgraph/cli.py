@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 success, 2 the estimate does not exist (a
 statistical outcome scripts may count), 3 numerical failure, 64 usage
-error; other I/O or input-format failures exit 1.  Every run with an
-explicit seed is byte-reproducible on its data outputs.
+error; other I/O or input-format failures, and input too large to hold in
+memory, exit 1.  Every run with an explicit seed is byte-reproducible on
+its data outputs.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def _dump_json(path: str, obj: dict) -> None:
 
 def cmd_privatize(args) -> int:
     params = PrivacyParams.from_epsilon(args.epsilon)  # before touching input
+    if args.seed < 0:
+        raise DomainError(f"--seed must be non-negative, got {args.seed}")
     text = Path(args.edge_list).read_text(encoding="utf-8")
     graph = parse_edge_list(text)
     rng = np.random.default_rng(args.seed)
@@ -151,7 +154,7 @@ def cmd_estimate(args) -> int:
                 "magnitude; use --raw for real-valued degrees"
             )
         z = NoisyBiDegree(z_out, z_in, PrivacyParams.from_epsilon(epsilon))
-    fit = newton_solve(z, model, with_variance=True)
+    fit = newton_solve(z, model)
     _dump_json(args.out, fit.to_json_dict())
     if fit.exists:
         print(
@@ -421,6 +424,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except json.JSONDecodeError as exc:
         print(f"dpgraph: bad JSON input: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        print("dpgraph: input too large to hold in memory", file=sys.stderr)
         return EXIT_IO
     except DpGraphError as exc:
         print(f"dpgraph: {exc}", file=sys.stderr)

@@ -34,7 +34,9 @@ One stacked solver fits R degree sequences at once (the simulation
 harness's blocks of replications); newton_solve is its R = 1 case.  Its
 stacked work is elementwise arithmetic, reductions within each row's own
 arrays and one BLAS call per row, so a row's floats never depend on the
-other rows.
+other rows.  The estimate and its plug-in variances are one result: every
+fit that exists carries the variances, from the pair sums of its last
+iterate, and the statistics and intervals read them from there.
 
 The estimate "does not exist" (a statistical event, not an error) when a
 used degree lies outside the open attainable range (0, n-1), when Newton
@@ -68,7 +70,6 @@ from .pairs import (
 from .privacy import NoisyBiDegree, PrivacyParams
 
 __all__ = [
-    "SolveOptions",
     "JacobianMatrix",
     "SApprox",
     "FitResult",
@@ -229,6 +230,16 @@ def s_approx_error(v: JacobianMatrix) -> float:
 _CG_RTOL = 1e-12
 _CG_MAX_ITER = 200
 
+# Newton stops once the residual sup-norm falls to _RESIDUAL_TOL_SCALE * n
+# (each residual component sums n-1 bounded terms) or the step sup-norm to
+# _STEP_TOL.  Reaching _NEWTON_MAX_ITER signals a non-existent estimate
+# rather than slowness, as the iteration converges quadratically whenever a
+# solution exists nearby; so does an iterate beyond _DIVERGENCE_GUARD.
+_NEWTON_MAX_ITER = 200
+_RESIDUAL_TOL_SCALE = 1e-8
+_STEP_TOL = 1e-10
+_DIVERGENCE_GUARD = 50.0
+
 
 def _pcg_block(
     v_diag: np.ndarray, v_2n_2n: np.ndarray, w: _Pairs, b: np.ndarray
@@ -300,29 +311,14 @@ def _pcg_solve(v: JacobianMatrix, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    """Newton controls; convergence and non-existence thresholds.
-
-    The residual tolerance scales with n because each residual component is
-    a sum of n-1 bounded terms.  Hitting max_iter signals a non-existent
-    estimate rather than slowness: the iteration is quadratically
-    convergent whenever a solution exists nearby.
-    """
-
-    max_iter: int = 200
-    residual_tol_scale: float = 1e-8
-    step_tol: float = 1e-10
-    divergence_guard: float = 50.0
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Outcome of a moment fit.
 
     exists=False carries a reason ("range", "max_iter", "diverged",
     "singular"); it is the statistical event that the realized degrees
-    admit no solution, not a numerical bug.  Variance fields are attached
-    by with_variance() after a successful fit.
+    admit no solution, not a numerical bug.  newton_solve attaches the
+    plug-in variances (var_diag, shared_var, privacy_var) to every fit that
+    exists; they are None otherwise.
     """
 
     theta: ParameterVector
@@ -343,14 +339,6 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.exists
-
-    def with_variance(self, vi: "VarianceInputs") -> "FitResult":
-        return replace(
-            self,
-            var_diag=vi.z_diag,
-            shared_var=vi.shared_var,
-            privacy_var=vi.privacy_var,
-        )
 
     def to_json_dict(self) -> dict:
         out = {
@@ -386,22 +374,22 @@ class FitResult:
 class _BlockFit:
     """Per-row outcomes of one stacked Newton solve.
 
-    reason[r] is None where row r's estimate exists.  sums, when asked for,
-    holds the plug-in sums (u_diag, u_2n_2n, v_diag, v_2n_2n) at each
-    existing row's estimate, NaN on the other rows.
+    reason[r] is None where row r's estimate exists.  sums holds the
+    plug-in sums (u_diag, u_2n_2n, v_diag, v_2n_2n) at each existing row's
+    estimate, NaN on the other rows.
     """
 
     free: np.ndarray
     reason: list
     iterations: np.ndarray
     residual_norm: np.ndarray
-    sums: tuple | None
+    sums: tuple
 
     def variance(self, privacy: PrivacyParams | None) -> "VarianceInputs":
         """Stacked variance components from the kept sums (NaN rows where
         no estimate exists)."""
         n = (self.free.shape[1] + 1) // 2
-        return _variance_inputs(*self.sums, _noise_sum_variance(n, privacy))
+        return VarianceInputs(*self.sums, _noise_sum_variance(n, privacy))
 
 
 def _newton_block(
@@ -409,8 +397,6 @@ def _newton_block(
     zin: np.ndarray,
     model: EdgeMeanModel,
     init: np.ndarray,
-    opts: SolveOptions,
-    with_sums: bool = False,
 ) -> _BlockFit:
     """Fit the rows of (R, n) degree arrays by Newton, all rows at once.
 
@@ -419,9 +405,9 @@ def _newton_block(
     stopped is frozen and drops out of the stacked arrays.  Each iterate
     builds one pair operator (_pairs) over the live rows: its mu gives the
     residual and its mu' the next step's system.  Row r's floats do not
-    depend on the other rows.  with_sums also keeps, per existing row, the
-    plug-in sums that _BlockFit.variance turns into variances, reusing the
-    last residual's mu.
+    depend on the other rows.  Each existing row also keeps the plug-in
+    sums that _BlockFit.variance turns into variances, from the last
+    residual's mu and mu'.
     """
     R, n = zout.shape
     used = np.concatenate([zout, zin[:, : n - 1]], axis=1)
@@ -431,9 +417,7 @@ def _newton_block(
     reason: list = [None] * R
     iterations = np.zeros(R, dtype=int)
     residual_norm = np.empty(R)
-    sums = None
-    if with_sums:
-        sums = tuple(np.full(shape, np.nan) for shape in ((R, 2 * n - 1), R) * 2)
+    sums = tuple(np.full(shape, np.nan) for shape in ((R, 2 * n - 1), R) * 2)
 
     def finish(rows, why, it, resid, free_rows):
         free[rows] = free_rows
@@ -465,19 +449,19 @@ def _newton_block(
         raise NumericalFailure("non-finite residual at initial point")
     w = pairs.mu_prime()
     v_diag, v_2n_2n = w.sums()
-    res_tol = opts.residual_tol_scale * n
+    res_tol = _RESIDUAL_TOL_SCALE * n
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         if live.size == 0:
             break
         step, ok = _pcg_block(v_diag, v_2n_2n, w, resid)
         finish(live[~ok], "singular", it, resid[~ok], free_l[~ok])
         free_l = free_l + step
-        diverged = ok & (np.abs(free_l).max(axis=1) > opts.divergence_guard)
+        diverged = ok & (np.abs(free_l).max(axis=1) > _DIVERGENCE_GUARD)
         finish(live[diverged], "diverged", it, resid[diverged], free_l[diverged])
         go = ok & ~diverged
         conv = (np.abs(resid).max(axis=1) <= res_tol) | (
-            np.abs(step).max(axis=1) <= opts.step_tol
+            np.abs(step).max(axis=1) <= _STEP_TOL
         )
         live, free_l, conv = live[go], free_l[go], conv[go]
         if live.size == 0:
@@ -495,24 +479,20 @@ def _newton_block(
         if not np.all(np.isfinite(resid)):
             raise NumericalFailure(f"non-finite residual at iteration {it}")
         finish(live[conv], None, it, resid[conv], free_l[conv])
-        if sums is not None and conv.any():
+        if conv.any():
             rows = np.flatnonzero(conv)
             sums[0][live[rows]], sums[1][live[rows]] = mu.bernoulli_sums(rows)
         mu = None
-        # mu' on the rows that step again, and on the converged ones when
-        # their variance sums are wanted
-        need = np.ones_like(conv) if sums is not None else ~conv
-        if need.any():
-            w = pairs.take(need).mu_prime()
-            v_diag, v_2n_2n = w.sums()
-            if sums is not None and conv.any():
-                sums[2][live[conv]] = v_diag[conv]
-                sums[3][live[conv]] = v_2n_2n[conv]
-                w, v_diag, v_2n_2n = w.take(~conv), v_diag[~conv], v_2n_2n[~conv]
+        # mu' on every row: the next system of the rows that step again, and
+        # the variance sums of the converged ones
+        w = pairs.mu_prime()
+        v_diag, v_2n_2n = w.sums()
+        sums[2][live[conv]], sums[3][live[conv]] = v_diag[conv], v_2n_2n[conv]
+        w, v_diag, v_2n_2n = w.take(~conv), v_diag[~conv], v_2n_2n[~conv]
         pairs = None
         live, free_l, resid = live[~conv], free_l[~conv], resid[~conv]
 
-    finish(live, "max_iter", opts.max_iter, resid, free_l)
+    finish(live, "max_iter", _NEWTON_MAX_ITER, resid, free_l)
     return _BlockFit(free, reason, iterations, residual_norm, sums)
 
 
@@ -520,8 +500,6 @@ def newton_solve(
     z,
     model: EdgeMeanModel,
     init: ParameterVector | None = None,
-    opts: SolveOptions | None = None,
-    with_variance: bool = False,
 ) -> FitResult:
     """Solve the moment equations by full Newton steps.
 
@@ -531,19 +509,20 @@ def newton_solve(
     is numerically singular and ends the fit with reason "singular".
 
     Convergence is declared when the residual sup-norm falls to
-    residual_tol_scale * n or the step sup-norm to step_tol; the step
+    _RESIDUAL_TOL_SCALE * n or the step sup-norm to _STEP_TOL; the step
     triggering the declaration is still applied, so the returned iterate is
     one full Newton update past the threshold.  Non-existence is declared
     up front when a used degree is <= 0 or >= n-1 (each expected degree
     lies strictly inside (0, n-1), so such a value provably has no
-    solution), or later via the iteration cap, the divergence guard on
-    ||theta||_inf, or a singular solve.
+    solution), or later via the iteration cap _NEWTON_MAX_ITER, the
+    divergence guard _DIVERGENCE_GUARD on ||theta||_inf, or a singular
+    solve.
 
     This is the one-row case of the stacked solver that also fits the
-    simulation harness's blocks of replications.  with_variance attaches
-    the plug-in variances at an existing estimate (as variance_estimates
-    would give them, with the noise term of a NoisyBiDegree release), from
-    the pair sums of the last residual's iterate.
+    simulation harness's blocks of replications.  An existing estimate
+    carries its plug-in variances, equal to what variance_estimates gives
+    at it (with the noise term of a NoisyBiDegree release), taken from the
+    pair sums of the last residual's iterate.
 
     Raises NumericalFailure if a residual evaluates to a non-finite value.
     """
@@ -554,14 +533,7 @@ def newton_solve(
     theta = init if init is not None else ParameterVector.zeros(n)
     if theta.n != n:
         raise DomainError("init has wrong dimension")
-    fit = _newton_block(
-        zout[None],
-        zin[None],
-        model,
-        theta.to_free(),
-        opts or SolveOptions(),
-        with_sums=with_variance,
-    )
+    fit = _newton_block(zout[None], zin[None], model, theta.to_free())
     result = FitResult(
         theta=ParameterVector.from_free(fit.free[0]),
         exists=fit.reason[0] is None,
@@ -571,7 +543,7 @@ def newton_solve(
         model=model.name,
         epsilon=epsilon,
     )
-    if with_variance and result.exists:
+    if result.exists:
         vi = fit.variance(z.params if isinstance(z, NoisyBiDegree) else None)
         result = replace(
             result,
@@ -627,37 +599,35 @@ class VarianceInputs:
     """Plug-in variance components at the fitted parameters.
 
     u_diag holds the per-equation degree variances (row/column sums of the
-    Bernoulli variances mu(1-mu)); z_diag = u_diag / v_diag^2 are the
-    leading per-coordinate variances; shared_var and privacy_var are the
-    common terms u_{2n,2n}/v_{2n,2n}^2 and s_n^2/v_{2n,2n}^2 added to every
-    covariance entry (privacy_var is 0 when fitting raw degrees).
+    Bernoulli variances mu(1-mu)) and s_n_sq the noise variance of the used
+    equations; stacked sums (one row per fit) give stacked components.
+    z_diag = u_diag / v_diag^2 are the leading per-coordinate variances;
+    shared_var and privacy_var are the common terms u_{2n,2n}/v_{2n,2n}^2
+    and s_n^2/v_{2n,2n}^2 added to every covariance entry (privacy_var is 0
+    when fitting raw degrees).
     """
 
     u_diag: np.ndarray
     u_2n_2n: float
-    s_n_sq: float
     v_diag: np.ndarray
     v_2n_2n: float
-    z_diag: np.ndarray
-    shared_var: float
-    privacy_var: float
+    s_n_sq: float
 
+    def __post_init__(self):
+        if np.any(self.v_diag <= 0.0) or np.any(self.v_2n_2n <= 0.0):
+            raise SingularSystemError("zero diagonal in the fitted Jacobian")
 
-def _variance_inputs(u_diag, u_2n_2n, v_diag, v_2n_2n, s_n_sq: float) -> VarianceInputs:
-    """The variance components from the plug-in sums; stacked sums (one
-    row per fit) give stacked components."""
-    if np.any(v_diag <= 0.0) or np.any(v_2n_2n <= 0.0):
-        raise SingularSystemError("zero diagonal in the fitted Jacobian")
-    return VarianceInputs(
-        u_diag=u_diag,
-        u_2n_2n=u_2n_2n,
-        s_n_sq=s_n_sq,
-        v_diag=v_diag,
-        v_2n_2n=v_2n_2n,
-        z_diag=u_diag / v_diag**2,
-        shared_var=u_2n_2n / v_2n_2n**2,
-        privacy_var=s_n_sq / v_2n_2n**2,
-    )
+    @property
+    def z_diag(self) -> np.ndarray:
+        return self.u_diag / self.v_diag**2
+
+    @property
+    def shared_var(self) -> float:
+        return self.u_2n_2n / self.v_2n_2n**2
+
+    @property
+    def privacy_var(self) -> float:
+        return self.s_n_sq / self.v_2n_2n**2
 
 
 def _noise_sum_variance(n: int, privacy: PrivacyParams | None) -> float:
@@ -672,12 +642,12 @@ def variance_estimates(
     privacy: PrivacyParams | None = None,
 ) -> VarianceInputs:
     """Estimate the asymptotic-variance building blocks at theta_hat: the
-    sums that newton_solve(with_variance=True) takes from its last iterate,
-    here from the pair operator at one given point."""
+    sums that newton_solve takes from its last iterate, here from the pair
+    operator at one given point."""
     pairs = _pairs(theta_hat.to_free()[None], model)
     u_diag, u_2n_2n = pairs.mu().bernoulli_sums([0])
     v_diag, v_2n_2n = pairs.mu_prime().sums()
-    return _variance_inputs(
+    return VarianceInputs(
         u_diag[0],
         float(u_2n_2n[0]),
         v_diag[0],
@@ -728,28 +698,21 @@ def _contrast(free: np.ndarray, kind: str, ki: np.ndarray, kj: np.ndarray) -> np
     return free[..., ki] - free[..., kj]
 
 
-def _contrast_se(z_diag: np.ndarray, ki: np.ndarray, kj: np.ndarray, common=0.0):
-    """Standard errors of the contrasts from the per-coordinate variances;
-    common adds the shared and privacy terms for sensitivity runs."""
-    return np.sqrt(z_diag[..., ki] + z_diag[..., kj] + common)
+def _contrast_se(z_diag: np.ndarray, ki: np.ndarray, kj: np.ndarray):
+    """Standard errors of the contrasts from the per-coordinate variances:
+    the shared and privacy terms cancel exactly in all three contrasts under
+    the asymptotic covariance."""
+    return np.sqrt(z_diag[..., ki] + z_diag[..., kj])
 
 
-def _contrast_stats(free_hat, z_diag, free_star, kind: str, pairs, common=0.0):
+def _contrast_stats(free_hat, z_diag, free_star, kind: str, pairs):
     """Standardized contrasts of stacked fits against free_star, and their
     standard errors: one variance pass serves the statistic and the
     interval."""
     ki, kj = _pair_indices(kind, pairs, (free_hat.shape[-1] + 1) // 2)
-    se = _contrast_se(z_diag, ki, kj, common)
+    se = _contrast_se(z_diag, ki, kj)
     num = _contrast(free_hat, kind, ki, kj) - _contrast(free_star, kind, ki, kj)
     return num / se, se
-
-
-def _common_var(fit: FitResult, include_shared: bool) -> float:
-    # the shared and privacy terms cancel exactly in all three contrasts
-    # under the asymptotic covariance; include_shared keeps them anyway
-    if not include_shared:
-        return 0.0
-    return 2.0 * (float(fit.shared_var or 0.0) + float(fit.privacy_var or 0.0))
 
 
 def standardized_stats(
@@ -757,25 +720,19 @@ def standardized_stats(
     theta_star: ParameterVector,
     pairs,
     kind: str = "xi",
-    include_shared: bool = False,
 ) -> np.ndarray:
     """Centered-and-scaled pair contrasts; asymptotically standard normal.
 
     kind "xi" contrasts alpha_i - alpha_j, "zeta" the sum alpha_i + beta_j,
     "eta" the contrast beta_i - beta_j.  Scaling uses the per-coordinate
-    variances only (the default matches the asymptotic covariance of these
-    contrasts; include_shared adds the common terms for sensitivity runs).
+    variances only, which matches the asymptotic covariance of these
+    contrasts.
     """
     if not len(pairs):
         return np.empty(0)
     zd = _require_variance(fit)
     return _contrast_stats(
-        fit.theta.to_free(),
-        zd,
-        theta_star.to_free(),
-        kind,
-        pairs,
-        _common_var(fit, include_shared),
+        fit.theta.to_free(), zd, theta_star.to_free(), kind, pairs
     )[0]
 
 
@@ -795,13 +752,12 @@ def confidence_interval(
     pair: tuple[int, int],
     level: float = 0.95,
     kind: str = "xi",
-    include_shared: bool = False,
 ) -> CiResult:
     """Normal-theory interval for a pair contrast at the given level."""
     q = _normal_quantile(level)
     zd = _require_variance(fit)
     ki, kj = _pair_indices(kind, [pair], fit.n)
-    se = float(_contrast_se(zd, ki, kj, _common_var(fit, include_shared))[0])
+    se = float(_contrast_se(zd, ki, kj)[0])
     center = float(_contrast(fit.theta.to_free(), kind, ki, kj)[0])
     return CiResult(lo=center - q * se, hi=center + q * se, length=2.0 * q * se)
 

@@ -58,6 +58,18 @@ class DirectedGraph:
         return int(self.adjacency.sum())
 
 
+def _int64_entries(values) -> np.ndarray:
+    """values as int64; a non-finite or non-integer entry, or one of
+    magnitude 2^63 or more, raises DomainError.  Integer and bool arrays
+    pass unchecked."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biu":
+        x = np.asarray(raw, dtype=float)
+        if not np.all((x == np.rint(x)) & (np.abs(x) < 2.0**63)):
+            raise DomainError("degree entries must be finite integers below 2^63")
+    return np.asarray(raw, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class BiDegree:
     """Out- and in-degree vectors of a directed graph."""
@@ -66,8 +78,8 @@ class BiDegree:
     in_deg: np.ndarray
 
     def __post_init__(self):
-        out = np.asarray(self.out_deg, dtype=np.int64)
-        inn = np.asarray(self.in_deg, dtype=np.int64)
+        out = _int64_entries(self.out_deg)
+        inn = _int64_entries(self.in_deg)
         if out.ndim != 1 or out.shape != inn.shape:
             raise DomainError("degree vectors must be 1-D and equal length")
         if out.sum() != inn.sum():

@@ -146,7 +146,7 @@ class _DenseIterate:
     of free coordinates."""
 
     def __init__(self, free: np.ndarray, fns):
-        self.free, self.fns = free, fns
+        self.fns = fns
         self.x = _strength_sums(free)
 
     def _eval(self, fn) -> _DensePairs:
@@ -157,9 +157,6 @@ class _DenseIterate:
 
     def mu_prime(self) -> _DensePairs:
         return self._eval(self.fns[1])
-
-    def take(self, rows: np.ndarray) -> "_DenseIterate":
-        return _DenseIterate(self.free[rows], self.fns)
 
 
 class _ChebPairs:

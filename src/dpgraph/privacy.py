@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .graph import BiDegree
+from .graph import BiDegree, _int64_entries
 
 __all__ = [
     "PrivacyParams",
@@ -86,8 +86,8 @@ class NoisyBiDegree:
     params: PrivacyParams
 
     def __post_init__(self):
-        zo = np.asarray(self.z_out, dtype=np.int64)
-        zi = np.asarray(self.z_in, dtype=np.int64)
+        zo = _int64_entries(self.z_out)
+        zi = _int64_entries(self.z_in)
         if zo.ndim != 1 or zo.shape != zi.shape:
             raise DomainError("noisy degree vectors must be 1-D and equal length")
         zo.flags.writeable = False

@@ -39,7 +39,6 @@ from scipy.special import ndtri
 
 from .errors import DomainError
 from .estimator import (
-    SolveOptions,
     _contrast_stats,
     _newton_block,
     _normal_quantile,
@@ -228,9 +227,7 @@ def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
     )
     dev_ok = dev <= deviation_bound(n, eps)
 
-    fit = _newton_block(
-        zout, zin, model, np.zeros(2 * n - 1), SolveOptions(), with_sums=True
-    )
+    fit = _newton_block(zout, zin, model, np.zeros(2 * n - 1))
     # rows without an estimate carry NaN variances and are never read
     z_diag = fit.variance(PrivacyParams.from_epsilon(eps)).z_diag
     q = _normal_quantile(cfg.level)

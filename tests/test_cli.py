@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpgraph import ParameterVector, PROBIT, expected_bidegree
-from dpgraph.cli import main
+from dpgraph.cli import STATS_DUMP_HEADER, main
 
 # any JSON value: scalars of every JSON type, and lists and objects of them
 JSON_VALUES = st.recursive(
@@ -24,6 +24,40 @@ DEGREE_NUMBERS = st.one_of(
     st.integers(1, 2),
     st.floats(0.5, 2.5),
     st.sampled_from([2**63, -(2**63) - 1, 10**400, 1e308, -1e308, float("nan")]),
+)
+# edge-list and stats-dump lines: well-formed lines, and junk built from
+# small integers and fixed bad tokens.  Free-form digit strings are never
+# drawn: int() reads "1_000_000", and a node count that large asks for n^2
+# bytes of adjacency.
+SMALL_INTS = st.integers(-3, 64)
+BAD_TOKENS = st.sampled_from(["x", "1.5", "1 2 3", "#c", "", "n=", "nan", "1e3"])
+JUNK_LINES = st.builds(
+    str.join, st.sampled_from([" ", ","]),
+    st.lists(SMALL_INTS.map(str) | BAD_TOKENS, max_size=5),
+)
+EDGES = st.lists(st.tuples(SMALL_INTS, SMALL_INTS).map("{0[0]} {0[1]}".format),
+                 max_size=6)
+# mostly one series, so that many dumps reach the QQ table
+DUMP_ROWS = st.lists(
+    st.tuples(st.sampled_from([(1, "xi")] * 3 + [(2, "eta")]), st.floats()),
+    min_size=2,
+    max_size=5,
+)
+JUNK = st.none() | st.tuples(st.integers(0, 6), JUNK_LINES)
+
+
+def _with_junk(lines: list, junk) -> str:
+    if junk is not None:
+        lines.insert(junk[0], junk[1])
+    return "\n".join(lines)
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=120,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 
@@ -102,6 +136,40 @@ class TestPrivatize:
                        "--out", str(tmp_path / "o.json"))
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_node_count_too_large_to_hold_exits_1(self, tmp_path, capsys):
+        # n = 10^8 asks for 10^16 adjacency bytes, more than a 64-bit
+        # address space holds, so the allocation is refused at once
+        edges = tmp_path / "huge.txt"
+        edges.write_text("1 2\n3 100000000\n")
+        code = run_cli("privatize", str(edges), "--epsilon", "1",
+                       "--out", str(tmp_path / "o.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too large" in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_negative_seed_is_usage_error(self, small_edge_list, tmp_path, capsys):
+        code = run_cli("privatize", small_edge_list, "--epsilon", "1",
+                       "--seed", "-1", "--out", str(tmp_path / "o.json"))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+
+    @FUZZ_SETTINGS
+    @given(
+        header=st.none() | SMALL_INTS.map("n={}".format), edges=EDGES, junk=JUNK
+    )
+    def test_arbitrary_edge_lists_end_in_a_documented_exit(
+        self, tmp_path, capsys, header, edges, junk
+    ):
+        path = tmp_path / "edges.txt"
+        path.write_text(_with_junk([header] * (header is not None) + edges, junk))
+        code = run_cli("privatize", str(path), "--epsilon", "1",
+                       "--out", str(tmp_path / "o.json"))
+        assert code in (0, 1, 64)
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
 
 
 class TestEstimate:
@@ -442,6 +510,29 @@ class TestQq:
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         assert run_cli("qq", str(empty), "--out", str(tmp_path / "o.csv")) == 64
+
+    @FUZZ_SETTINGS
+    @given(
+        dump=st.booleans(),
+        rows=DUMP_ROWS,
+        junk=JUNK,
+        selection=st.sampled_from(
+            [[], ["--pair", "1,2", "--kind", "xi"], ["--kind", "xi"], ["--pair", "1,x"]]
+        ),
+    )
+    def test_arbitrary_stats_dumps_end_in_a_documented_exit(
+        self, tmp_path, capsys, dump, rows, junk, selection
+    ):
+        lines = [
+            f"{rep},{i},{i + 1},{kind},{value!r}" if dump else repr(value)
+            for rep, ((i, kind), value) in enumerate(rows)
+        ]
+        path = tmp_path / "dump.csv"
+        path.write_text(_with_junk([STATS_DUMP_HEADER] * dump + lines, junk))
+        code = run_cli("qq", str(path), *selection, "--out", str(tmp_path / "q.csv"))
+        assert code in (0, 1, 64)
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """Moment system, structured Jacobian, Newton solver, and inference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dpgraph import estimator, pairs
 from dpgraph import (
+    LOGIT,
     DomainError,
     NoisyBiDegree,
     NonexistentFitError,
@@ -17,7 +19,6 @@ from dpgraph import (
     ParameterVector,
     PrivacyParams,
     SingularSystemError,
-    SolveOptions,
     bounds_for,
     build_s_approx,
     confidence_interval,
@@ -397,7 +398,7 @@ class TestPairOperator:
             raise AssertionError("the fit built a dense n x n array")
 
         monkeypatch.setattr(pairs, "_strength_sums", refuse)
-        fit = newton_solve(z, PROBIT, with_variance=True)
+        fit = newton_solve(z, PROBIT)
         assert fit.exists
         assert np.abs(fit.theta.to_free() - theta.to_free()).max() <= 1e-8
         assert np.all(fit.var_diag > 0)
@@ -409,12 +410,11 @@ class TestPairOperator:
         zout = np.array([r[0] for r in rows])
         zin = np.array([r[1] for r in rows])
         start = np.zeros(2 * n - 1)
-        opts = SolveOptions()
-        block = estimator._newton_block(zout, zin, PROBIT, start, opts, with_sums=True)
+        block = estimator._newton_block(zout, zin, PROBIT, start)
         for k, z in enumerate(rows):
             alone = estimator._newton_block(zout[k : k + 1], zin[k : k + 1], PROBIT,
-                                            start, opts, with_sums=True)
-            fit = newton_solve(z, PROBIT, with_variance=True)
+                                            start)
+            fit = newton_solve(z, PROBIT)
             assert block.reason[k] is None and fit.exists
             assert block.iterations[k] == fit.iterations
             assert np.array_equal(block.free[k], fit.theta.to_free())
@@ -445,7 +445,7 @@ class TestPairOperator:
         monkeypatch.setattr(pairs, "_strength_sums", refuse)
         tracemalloc.start()
         try:
-            fit = newton_solve((z_out, z_in), PROBIT, with_variance=True)
+            fit = newton_solve((z_out, z_in), PROBIT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,11 +501,11 @@ class TestNewtonSolve:
         fit = newton_solve((z_out, z_in), PROBIT)
         assert not fit.exists and fit.reason == "range"
 
-    def test_iteration_cap_reports_nonexistence(self):
+    def test_iteration_cap_reports_nonexistence(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_NEWTON_MAX_ITER", 1)
         theta = linear_ramp_theta(12, 0.8)
         eo, ei = expected_bidegree(theta, PROBIT)
-        fit = newton_solve((eo + 0.4, ei + 0.4), PROBIT,
-                           opts=SolveOptions(max_iter=1))
+        fit = newton_solve((eo + 0.4, ei + 0.4), PROBIT)
         assert not fit.exists and fit.reason == "max_iter"
 
     def test_nan_input_is_numerical_failure(self):
@@ -586,8 +586,6 @@ class TestNewtonSolve:
             assert np.abs(resid).max() <= 1e-6
 
     def test_oracle_recovery_logit(self):
-        from dpgraph import LOGIT
-
         theta = random_theta(20, 0.75, 55)
         fit = newton_solve(expected_bidegree(theta, LOGIT), LOGIT)
         assert fit.exists
@@ -674,13 +672,28 @@ class TestVarianceEstimates:
         with pytest.raises(SingularSystemError):
             variance_estimates(theta, PROBIT)
 
+    @pytest.mark.parametrize("model", [PROBIT, LOGIT], ids=["probit", "logit"])
+    @pytest.mark.parametrize("n", [60, 300], ids=["dense", "compressed"])
+    @pytest.mark.parametrize("release", [True, False], ids=["release", "raw"])
+    def test_fit_carries_the_variances_at_its_estimate(self, model, n, release):
+        # the fit takes its sums from its last iterate; they must be those
+        # of variance_estimates at the returned estimate, bit for bit
+        z = expected_bidegree(random_theta(n, 0.5, n), model)
+        privacy = PrivacyParams.from_epsilon(2.0) if release else None
+        if release:
+            z = NoisyBiDegree(np.rint(z[0]), np.rint(z[1]), privacy)
+        fit = newton_solve(z, model)
+        assert fit.exists
+        vi = variance_estimates(fit.theta, model, privacy)
+        assert np.array_equal(fit.var_diag, vi.z_diag)
+        assert fit.shared_var == vi.shared_var
+        assert fit.privacy_var == vi.privacy_var
+        assert (fit.privacy_var > 0.0) == release
 
-def _fitted(n=40, seed=19, eps=None):
+
+def _fitted(n=40, seed=19):
     theta = linear_ramp_theta(n, 0.5)
-    eo, ei = expected_bidegree(theta, PROBIT)
-    fit = newton_solve((eo, ei), PROBIT)
-    privacy = PrivacyParams.from_epsilon(eps) if eps else None
-    return theta, fit.with_variance(variance_estimates(fit.theta, PROBIT, privacy))
+    return theta, newton_solve(expected_bidegree(theta, PROBIT), PROBIT)
 
 
 class TestStandardizedStats:
@@ -715,14 +728,6 @@ class TestStandardizedStats:
         with pytest.raises(DomainError):
             standardized_stats(fit, theta, [(fit.n - 1, fit.n)], kind="eta")
 
-    def test_shared_term_option_shrinks_statistics(self):
-        theta, fit = _fitted(eps=1.0)
-        plain = standardized_stats(fit, theta, [(1, 30)], kind="xi")[0]
-        wide = standardized_stats(
-            fit, theta, [(1, 30)], kind="xi", include_shared=True
-        )[0]
-        assert abs(wide) <= abs(plain) or (plain == 0 and wide == 0)
-
     def test_nonexistent_fit_is_contract_error(self):
         n = 30
         z = np.full(n, 10.0)
@@ -734,7 +739,9 @@ class TestStandardizedStats:
 
     def test_missing_variance_is_contract_error(self):
         theta = linear_ramp_theta(10, 0.3)
-        fit = newton_solve(expected_bidegree(theta, PROBIT), PROBIT)
+        fit = dataclasses.replace(
+            newton_solve(expected_bidegree(theta, PROBIT), PROBIT), var_diag=None
+        )
         with pytest.raises(NonexistentFitError):
             standardized_stats(fit, theta, [(1, 2)])
 
@@ -745,7 +752,6 @@ class TestConfidenceInterval:
         fit = newton_solve(
             expected_bidegree(ParameterVector.zeros(n), PROBIT), PROBIT
         )
-        fit = fit.with_variance(variance_estimates(fit.theta, PROBIT))
         ci = confidence_interval(fit, (1, 2))
         np.testing.assert_allclose(ci.half_length, 0.3491446809, atol=1e-6)
         np.testing.assert_allclose(ci.length, 0.6982893618, atol=1e-6)
@@ -758,7 +764,6 @@ class TestConfidenceInterval:
             fit = newton_solve(
                 expected_bidegree(ParameterVector.zeros(n), PROBIT), PROBIT
             )
-            fit = fit.with_variance(variance_estimates(fit.theta, PROBIT))
             lengths[n] = confidence_interval(fit, (1, 2)).length
         np.testing.assert_allclose(
             lengths[200] / lengths[100], math.sqrt(99.0 / 199.0), rtol=1e-6

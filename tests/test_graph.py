@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpgraph import (
+    BiDegree,
     DirectedGraph,
     DomainError,
     EdgeListParseError,
@@ -78,6 +79,20 @@ class TestDegrees:
             np.fill_diagonal(adj, False)
             d = degrees(DirectedGraph(adjacency=adj))
             assert d.out_deg.sum() == d.in_deg.sum()
+
+
+class TestBiDegree:
+    @pytest.mark.parametrize(
+        "out_deg", [[1.7, 1.2, 0.9], [1.0, np.nan, 0.0]], ids=["fraction", "nan"]
+    )
+    def test_rejects_non_integer_entries(self, out_deg):
+        with pytest.raises(DomainError):
+            BiDegree(out_deg=out_deg, in_deg=[1, 1, 0])
+
+    def test_integral_floats_become_counts(self):
+        d = BiDegree(out_deg=[1.0, 1.0, 0.0], in_deg=np.array([True, True, False]))
+        assert d.out_deg.dtype == d.in_deg.dtype == np.int64
+        assert d.out_deg.tolist() == d.in_deg.tolist() == [1, 1, 0]
 
 
 class TestParameterVector:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dpgraph import estimator
 from dpgraph import (
     DomainError,
     LOGIT,
     PROBIT,
-    SolveOptions,
     bounds_for,
     get_model,
     probit_mu,
@@ -198,7 +198,7 @@ class TestModelContract:
 def test_logit_mu_prime_positive_within_twice_the_divergence_guard():
     # Newton iterates stay within the guard, so their strength sums stay
     # within twice it; a zero mu' there would make the Jacobian singular
-    q = 2.0 * SolveOptions().divergence_guard
+    q = 2.0 * estimator._DIVERGENCE_GUARD
     assert np.all(LOGIT.mu_prime(np.linspace(-q, q, 200001)) > 0.0)
 
 

@@ -8,6 +8,7 @@ from scipy.stats import chi2
 
 from dpgraph import (
     DomainError,
+    NoisyBiDegree,
     PROBIT,
     ParameterVector,
     PrivacyParams,
@@ -129,6 +130,15 @@ class TestDiscreteLaplaceSampler:
         rng = np.random.default_rng(8)
         draws = discrete_laplace_sample(1e-6, rng, size=100000)
         assert np.all(draws == 0)
+
+
+class TestNoisyBiDegree:
+    @pytest.mark.parametrize(
+        "z_out", [[1.7, -1.2, 0.9], [1.0, np.nan, 0.0]], ids=["fraction", "nan"]
+    )
+    def test_rejects_non_integer_entries(self, z_out):
+        with pytest.raises(DomainError):
+            NoisyBiDegree(z_out, [1, -1, 0], PrivacyParams.from_epsilon(1.0))
 
 
 class TestPrivatize:

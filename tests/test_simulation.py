@@ -269,7 +269,8 @@ class TestBlockInvariance:
             if not fit.exists:
                 assert rec.stats == ()
                 continue
-            fit = fit.with_variance(variance_estimates(fit.theta, PROBIT, noisy.params))
+            vi = variance_estimates(fit.theta, PROBIT, noisy.params)
+            assert np.array_equal(fit.var_diag, vi.z_diag)
             expected = []
             for kind in cfg.stat_kinds:
                 values = standardized_stats(fit, theta_star, cfg.pairs, kind=kind)
@@ -286,8 +287,7 @@ class TestBlockInvariance:
                 for scale, seed in ((0.3, 1), (1.0, 2), (0.6, 3))]
         zout = np.array([r[0] for r in rows])
         zin = np.array([r[1] for r in rows])
-        block = estimator._newton_block(zout, zin, PROBIT, np.zeros(2 * n - 1),
-                                        estimator.SolveOptions())
+        block = estimator._newton_block(zout, zin, PROBIT, np.zeros(2 * n - 1))
         for k, z in enumerate(rows):
             fit = newton_solve(z, PROBIT)
             assert block.reason[k] is None and fit.exists
@@ -306,11 +306,9 @@ class TestBlockInvariance:
         empty_out[4] = 0.0  # a node with no out-edges: no solution exists
         zout = np.array([empty_out, mild[0], rough[0]])
         zin = np.array([mild[1], mild[1], rough[1]])
-        opts = estimator.SolveOptions()
         start = np.zeros(2 * n - 1)
-        mixed = estimator._newton_block(zout, zin, PROBIT, start, opts, with_sums=True)
-        alone = estimator._newton_block(zout[1:2], zin[1:2], PROBIT, start, opts,
-                                        with_sums=True)
+        mixed = estimator._newton_block(zout, zin, PROBIT, start)
+        alone = estimator._newton_block(zout[1:2], zin[1:2], PROBIT, start)
         assert mixed.reason == ["range", None, "singular"]
         assert mixed.iterations[1] == alone.iterations[0]
         assert mixed.residual_norm[1] == alone.residual_norm[0]
