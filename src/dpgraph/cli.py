@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _read_text(path: str) -> str:
+    """The file at path as UTF-8 text; other bytes end in a one-line error
+    that names the file, which UnicodeDecodeError itself does not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DpGraphError(
+            f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
@@ -69,7 +80,7 @@ def cmd_privatize(args) -> int:
     params = PrivacyParams.from_epsilon(args.epsilon)  # before touching input
     if args.seed < 0:
         raise DomainError(f"--seed must be non-negative, got {args.seed}")
-    text = Path(args.edge_list).read_text(encoding="utf-8")
+    text = _read_text(args.edge_list)
     graph = parse_edge_list(text)
     rng = np.random.default_rng(args.seed)
     noisy = privatize(degrees(graph), args.epsilon, rng)
@@ -83,7 +94,7 @@ def cmd_privatize(args) -> int:
 
 def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Read a degrees JSON ({n, z_out, z_in, epsilon?}) or an edge-list file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
@@ -223,7 +234,7 @@ def cmd_simulate(args) -> int:
 
 
 def _read_stats_file(path: str, pair: str | None, kind: str | None) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = [
         (line_no, ln.strip())
         for line_no, ln in enumerate(text.splitlines(), start=1)

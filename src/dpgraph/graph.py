@@ -187,6 +187,117 @@ def parse_edge_list(text: str) -> DirectedGraph:
     line "n=<count>" declares the node count (needed for isolated trailing
     nodes).  Duplicate edges collapse to one; a warning with the collapsed
     count is logged.  Self-loops and ids < 1 are rejected.
+
+    The plain form -- leading blank, '#' and header lines, then only
+    ASCII digits, spaces, tabs and LF or CRLF line ends, with two ids of
+    at most 18 digits on each non-blank line -- is parsed in one
+    vectorized pass.  Any other text is parsed line by line, which
+    accepts the same format and raises the same errors with the same
+    line numbers.
+    """
+    edges = _parse_plain(text)
+    if edges is None:
+        edges = _parse_lines(text)
+    return _edge_graph(*edges)
+
+
+# longest id in the plain form: 18 digits stay below 2^63
+_PLAIN_DIGITS = 18
+# the plain form's body is read in pieces of about this many characters,
+# each ending at a line end, which bounds the pass's working memory
+_PLAIN_CHUNK = 1 << 20
+
+
+def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray, int | None] | None:
+    """(srcs, dsts, declared n) of an edge list in the plain form, read in
+    one vectorized pass over its bytes (in pieces of about 1 MiB); None
+    for any other text, which `_parse_lines` then reads (and, if
+    malformed, reports with its line number).
+
+    The plain form is: leading blank, '#' and "n=<count>" header lines
+    with LF or CRLF ends, then a body of ASCII digits, spaces, tabs, LF
+    and CR (only directly before LF) where every non-blank line holds two
+    ids of at most 18 digits, each id >= 1 and no self-loop.
+    """
+    declared_n = None
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        raw = text[pos:end].removesuffix("\r")
+        if raw and raw.splitlines() != [raw]:
+            return None  # a line break other than LF or CRLF
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if declared_n is not None or not line.startswith("n="):
+                break
+            try:
+                declared_n = int(line[2:])
+            except ValueError:
+                return None
+            if declared_n < 2:
+                return None
+        pos = end + 1
+
+    pieces = [np.empty(0, dtype=np.int64)]
+    while pos < len(text):
+        end = text.find("\n", pos + _PLAIN_CHUNK)
+        end = len(text) if end < 0 else end + 1
+        ids = _plain_ids(text[pos:end])
+        if ids is None:
+            return None
+        pieces.append(ids)
+        pos = end
+    ids = np.concatenate(pieces)
+    srcs, dsts = ids[0::2], ids[1::2]
+    if srcs.size and (min(srcs.min(), dsts.min()) < 1 or (srcs == dsts).any()):
+        return None
+    return srcs, dsts, declared_n
+
+
+def _plain_ids(lines: str) -> np.ndarray | None:
+    """The ids of whole plain-form body lines, in order, or None if the
+    lines are not in the plain form."""
+    if not lines.isascii():
+        return None
+    b = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
+    # run[1:-1] marks digits: every other plain byte lies below "0"
+    run = np.zeros(b.size + 2, dtype=bool)
+    run[1:-1] = b >= 0x30
+    spaces = sum(np.count_nonzero(b == c) for c in b" \t\n\r")
+    if b.max() > 0x39 or np.count_nonzero(run) + spaces != b.size:
+        return None
+    after_cr = np.flatnonzero(b == 0x0D) + 1
+    if after_cr.size and (after_cr[-1] == b.size or (b[after_cr] != 0x0A).any()):
+        return None
+
+    # ids are the maximal runs of digits, bytes [starts, stops)
+    bounds = np.flatnonzero(run[1:] != run[:-1])
+    starts, stops = bounds[0::2], bounds[1::2]
+    lengths = stops - starts
+    longest = int(lengths.max(initial=0))
+    if longest > _PLAIN_DIGITS or starts.size % 2:
+        return None
+    if starts.size:
+        # breaks[j]: an LF lies between the ends of ids j and j + 1; each
+        # line holds two ids when ids alternate in-line and across lines
+        breaks = np.logical_or.reduceat(b[: stops[-1]] == 0x0A, stops[:-1])
+        if breaks[0::2].any() or not breaks[1::2].all():
+            return None
+
+    digits = b - 0x30  # digit values; other bytes wrap and are never read
+    ids = digits[starts].astype(np.int64)
+    for k in range(1, longest):
+        more = np.flatnonzero(lengths > k)
+        ids[more] = ids[more] * 10 + digits[starts[more] + k]
+    return ids
+
+
+def _parse_lines(text: str) -> tuple[list[int], list[int], int | None]:
+    """(srcs, dsts, declared n) of an edge list, read one line at a time.
+
+    Accepts every form `parse_edge_list` documents and raises its
+    per-line errors; the tests compare `_parse_plain` against it.
     """
     declared_n = None
     srcs: list[int] = []
@@ -220,8 +331,13 @@ def parse_edge_list(text: str) -> DirectedGraph:
             raise EdgeListParseError(f"self-loop at node {src}", line_no)
         srcs.append(src)
         dsts.append(dst)
+    return srcs, dsts, declared_n
 
-    max_id = max(max(srcs, default=0), max(dsts, default=0))
+
+def _edge_graph(srcs, dsts, declared_n: int | None) -> DirectedGraph:
+    """The graph of parsed edges: checks the node count, collapses
+    duplicates and logs how many collapsed."""
+    max_id = int(max(np.max(srcs, initial=0), np.max(dsts, initial=0)))
     n = declared_n if declared_n is not None else max_id
     if n < 2:
         raise EdgeListParseError("edge list defines fewer than 2 nodes")
@@ -231,7 +347,7 @@ def parse_edge_list(text: str) -> DirectedGraph:
     adj = np.zeros((n, n), dtype=bool)
     rows = np.asarray(srcs, dtype=np.intp) - 1
     adj[rows, np.asarray(dsts, dtype=np.intp) - 1] = True
-    duplicates = len(srcs) - int(adj.sum())
+    duplicates = len(srcs) - np.count_nonzero(adj)
     if duplicates:
         logger.warning("collapsed %d duplicate edge(s)", duplicates)
     return DirectedGraph(adjacency=adj)

@@ -541,6 +541,20 @@ class TestUsage:
             run_cli("simulate", "--frobnicate")
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("command", [
+        ["privatize", "--epsilon", "1"], ["estimate"], ["qq"],
+    ], ids=["privatize", "estimate", "qq"])
+    def test_non_utf8_input_exits_1_naming_the_file(self, command, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"1 2\n\xff 3\n")
+        out = tmp_path / "out"
+        code = run_cli(command[0], str(bad), *command[1:], "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{bad} is not UTF-8 text" in err
+        assert not out.exists()
+
     def test_pipeline_end_to_end_reproducible(self, small_edge_list, tmp_path):
         fits = []
         for tag in ("x", "y"):

@@ -4,7 +4,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dpgraph import graph
 from dpgraph import (
     BiDegree,
     DirectedGraph,
@@ -20,6 +23,75 @@ from dpgraph import (
 )
 
 from conftest import LAWYER_BIDEGREES
+
+# Edge-list texts for the parser equivalence test.  Ids and node counts stay
+# small (n is the side of the adjacency); their spellings vary.  Plain-form
+# texts use ids 1..12, zero-padded to at most 18 digits, any mix of space
+# and tab separators, blank and comment lines, LF or CRLF ends and an
+# optional missing final newline.  A near miss adds one line that leaves
+# the plain form or breaks a per-line rule.
+_WIDTHS = st.sampled_from([1, 3, 18])
+_PAD = st.sampled_from(["", " ", "\t"])
+_EDGE_LINES = st.builds(
+    lambda ids, widths, pads, sep: (
+        f"{pads[0]}{str(ids[0]).zfill(widths[0])}{sep}"
+        f"{str(ids[1]).zfill(widths[1])}{pads[1]}"
+    ),
+    st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True),
+    st.tuples(_WIDTHS, _WIDTHS),
+    st.tuples(_PAD, _PAD),
+    st.sampled_from([" ", "\t", " \t "]),
+)
+_FILLER_LINES = st.sampled_from(["", " \t", "# comment", "#"])
+_NEAR_MISSES = st.sampled_from([
+    "0 3", "4 4", "99 2", "-1 2", "+3 2", "3 +2", "1 2 3", "1 2 3 4", "5",
+    "# mid-body comment", "1 2 #c", "x 2", "1.0 2", "n=4", "n=1",
+    "0000000000000000003 2", "2 0000000000000000000001", "99999999999999999999 2",
+    "1\r2", "1\x0c2", "\u0661 2", "1\u00a02",
+])
+
+
+@st.composite
+def _edge_list_texts(draw, near_miss: bool) -> str:
+    lines = draw(st.lists(_FILLER_LINES, max_size=2))
+    n = draw(st.none() | st.integers(2, 14))
+    if n is not None:
+        lines.append(f"n={n}")
+    lines += draw(st.lists(_FILLER_LINES, max_size=2))
+    lines += draw(st.lists(_EDGE_LINES | st.sampled_from(["", " \t"]), max_size=8))
+    if near_miss:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NEAR_MISSES))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def _reference_parse(text: str) -> DirectedGraph:
+    """parse_edge_list through the line-by-line reader alone."""
+    return graph._edge_graph(*graph._parse_lines(text))
+
+
+def _parse_outcome(parse, text: str):
+    """(n, adjacency bytes, log messages) of a parse, or the exception's
+    (type, message)."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log = logging.getLogger("dpgraph.graph")
+    log.addHandler(handler)
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    finally:
+        log.removeHandler(handler)
+    return g.n, g.adjacency.tobytes(), [r.getMessage() for r in records]
+
+
+def _bench_shaped_text(n: int, seed: int) -> str:
+    """A header and every edge of a half-dense random graph, one per line."""
+    adj = np.random.default_rng(seed).random((n, n)) < 0.5
+    np.fill_diagonal(adj, False)
+    return to_edge_list_text(DirectedGraph(adjacency=adj))
 
 
 def brute_force_expected_degrees(theta, model):
@@ -246,6 +318,36 @@ class TestEdgeListParsing:
     def test_crlf_and_tab_separators(self):
         g = parse_edge_list("n=3\r\n1\t2\r\n2 3\r\n")
         assert g.n == 3 and g.edge_count == 2
+
+    @given(text=_edge_list_texts(near_miss=False) | _edge_list_texts(near_miss=True))
+    # near misses that only show in one place: a second header, a huge id
+    # after a header, a lone CR inside a comment, and lines of 1 and 3 or
+    # of 4 ids, whose id count is still even
+    @example(text="n=5\nn=4\n1 2\n")
+    @example(text="n=5\n99999999999999999999 2\n")
+    @example(text="# c\r5 6\n1 2\n")
+    @example(text="1 2 3\n4\n")
+    @example(text="1 2 3 4\n")
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    def test_matches_line_by_line_reference(self, text):
+        assert _parse_outcome(parse_edge_list, text) == _parse_outcome(_reference_parse, text)
+
+    @pytest.mark.parametrize("text", [
+        _bench_shaped_text(40, seed=3),
+        "# Directed graph: toy.txt\n# Nodes: 5 Edges: 4\n# FromNodeId\tToNodeId\n"
+        "n=5\n1\t2\n2\t3\n3\t1\n4\t5\n",
+        "\n# c\r\nn=4\r\n# c\r\n 001  2 \r\n\r\n3\t000000000000000004\r\n4 1",
+        "1 2\n2 1\n1 2\n",
+        "n=3\n",
+    ], ids=["bench", "snap", "crlf-padding", "duplicates", "header-only"])
+    def test_plain_form_takes_the_vectorized_path(self, text, monkeypatch):
+        expected = _parse_outcome(_reference_parse, text)
+
+        def line_loop(text):
+            raise AssertionError("plain-form text fell back to the line loop")
+
+        monkeypatch.setattr(graph, "_parse_lines", line_loop)
+        assert _parse_outcome(parse_edge_list, text) == expected
 
     def test_integer_adjacency_accepted_multiplicity_rejected(self):
         g = DirectedGraph(adjacency=np.array([[0, 1], [0, 0]]))
