@@ -25,10 +25,10 @@ diagnostics s_approx_error and convergence_diagnostics.
 Every O(n^2) quantity of a fit (the residual, the diagonal of V, the
 products with its cross block, the variance sums) is a row sum, column
 sum or product of a pair matrix f(alpha_i + beta_j).  One pair operator
-(pairs._Pairs) serves them all: below n = 128 from the dense n x n
-matrices (O(n^2) per product), above it from a tensor Chebyshev
-interpolant on 32 x 32 nodes (O(32 n) per product), unless a row's box of
-strengths is too wide for the nodes.
+(pairs._Pairs) serves them all: below n = 96 from the dense n x n
+matrices (O(n^2) per product), from there on from a tensor Chebyshev
+interpolant on 32 x 32 nodes (O(32 n) per product), stacked over the
+rows of a block, unless a row's box of strengths is too wide for the nodes.
 
 One stacked solver fits R degree sequences at once (the simulation
 harness's blocks of replications); newton_solve is its R = 1 case.  Its
@@ -248,7 +248,7 @@ def _pcg_block(
 
     Row r's system has diagonal v_diag[r], boundary scalar v_2n_2n[r] and
     cross block w_r[:, :n-1], with w the mu' pair operator; a leading axis
-    of length 1 (one operator part with one row) shares one system among
+    of length 1 (one operator stack with one row) shares one system among
     all rows.  Products with V use the diagonal and the cross block only.
     Returns (x, ok): ok[r] is False when S_r does not exist, an iterate
     turned non-finite, or the cap was reached, and x[r] is then 0.  A row

@@ -344,7 +344,11 @@ def _edge_graph(srcs, dsts, declared_n: int | None) -> DirectedGraph:
     if max_id > n:
         raise EdgeListParseError(f"node id {max_id} exceeds declared n={n}")
 
-    adj = np.zeros((n, n), dtype=bool)
+    try:
+        adj = np.zeros((n, n), dtype=bool)
+    except ValueError:
+        # numpy refuses outright a shape whose byte count overflows
+        raise MemoryError(f"a {n} x {n} adjacency matrix") from None
     rows = np.asarray(srcs, dtype=np.intp) - 1
     adj[rows, np.asarray(dsts, dtype=np.intp) - 1] = True
     duplicates = len(srcs) - np.count_nonzero(adj)

@@ -3,29 +3,29 @@
 Each such quantity is a row sum, column sum or cross-block product of a
 pair matrix f(alpha_i + beta_j) with zero diagonal: f = mu for the
 residual, mu' for the CG products and the diagonal of V, mu(1-mu) and mu'
-for the variance sums.  _Pairs serves them for stacked rows, each row from
-one of two backends:
+for the variance sums.  _Pairs serves them for stacked rows from at most
+two stacks, one per backend:
 
-- dense: the n x n matrices themselves, stacked over the rows;
-- compressed: tensor Chebyshev interpolation over the row's box
+- dense: the n x n matrices themselves;
+- compressed: tensor Chebyshev interpolation over each row's box
   [min alpha, max alpha] x [min beta, max beta] (Trefethen, Approximation
   Theory and Approximation Practice, 2013, ch. 5).  With barycentric
   matrices L_a, L_b (n x p) and grid values C = f(nodes_a + nodes_b)
   (p x p), the row sums are L_a (C (L_b^T 1)) minus the exact diagonal
   f(alpha_i + beta_i), and the column sums and products likewise: O(n p)
-  time and memory, and p^2 evaluations of f.
+  time and memory, and p^2 evaluations of f, for all rows of the stack
+  at once.
 
-Below _DENSE_BELOW nodes every row is dense: a whole fit costs about the
-same on either backend at n = 128 (measured on a 2-vCPU VM: one fit 4.5 ms
-dense and 3.8 ms compressed, a harness block of 8 fits 2.2 ms per fit on
-both), and the dense one is faster below.  Above it a row is compressed
-unless the last two Chebyshev coefficients per axis of its mu, mu' or
-mu(1-mu) grid exceed _CHEB_TAIL of the largest coefficient (a box too wide
-for the nodes, such as an iterate near the divergence guard).  Resolved
-grids read 2e-15 to 1e-14 there, from rounding, and rows that pass lie
-within 1e-11 of the dense sums at n = 2000.  Each row is compressed from
-its own coordinates only, so a row's floats do not depend on the other
-rows.
+Below _DENSE_BELOW nodes every row is dense: on harness blocks of
+_block_size(n) rows (2-vCPU VM, 1 BLAS thread) a block takes 16.3 ms dense
+and 16.5 ms compressed at n = 64, 14.4 ms and 10.3 ms at n = 96.  From
+there a row is compressed unless the last two Chebyshev coefficients per
+axis of its mu, mu' or mu(1-mu) grid exceed _CHEB_TAIL of the largest
+coefficient (a box too wide for the nodes, such as an iterate near the
+divergence guard).  Resolved grids read 2e-15 to 1e-14, from rounding, and
+rows that pass lie within 1e-11 of the dense sums at n = 2000.  A row's
+backend depends only on n and its own box, and a stacked product is one
+BLAS call per row, so a row's floats do not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .model import EdgeMeanModel
 
 _CHEB_NODES = 32
 _CHEB_TAIL = 1e-13
-_DENSE_BELOW = 4 * _CHEB_NODES
+_DENSE_BELOW = 3 * _CHEB_NODES
 
 
 def _equation_sums(m: np.ndarray) -> np.ndarray:
@@ -72,12 +72,6 @@ def _pair_matrix(theta, fn) -> np.ndarray:
     return _zero_diagonal(np.asarray(fn(x), dtype=float))
 
 
-def _bernoulli_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equation sums and boundary sum of the Bernoulli variances p(1-p)."""
-    u = p * (1.0 - p)
-    return _equation_sums(u), _boundary_sum(u)
-
-
 _CHEB_ANGLES = (2 * np.arange(_CHEB_NODES) + 1) * np.pi / (2 * _CHEB_NODES)
 # first-kind nodes on [-1, 1] and their barycentric weights
 _CHEB_T = np.cos(_CHEB_ANGLES)
@@ -88,38 +82,59 @@ _CHEB_DCT[0] /= 2.0
 
 
 def _barycentric(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, nodes): Chebyshev nodes over [min x, max x], and the matrix that
-    interpolates values at the nodes to the points x.  A box of zero width
-    has one node; a point on a node gets a one-hot row."""
-    lo, hi = x.min(), x.max()
-    if lo == hi:
-        return np.ones((x.size, 1)), x[:1].copy()
+    """(L^T, nodes) for stacked points x (..., n): the Chebyshev nodes over
+    each [min x, max x] (..., p), and the transposes (..., p, n) of the
+    matrices that interpolate values at the nodes to the points x.  A point
+    on a node gets a one-hot row of L; so does every point of a box of zero
+    width, whose nodes coincide."""
+    lo, hi = x.min(axis=-1, keepdims=True), x.max(axis=-1, keepdims=True)
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = _CHEB_W / (x[:, None] - nodes)
-        lmat = q / q.sum(axis=1, keepdims=True)
-    hit = np.flatnonzero(~np.isfinite(lmat).all(axis=1))
-    if hit.size:
-        lmat[hit] = 0.0
-        lmat[hit, np.abs(x[hit, None] - nodes).argmin(axis=1)] = 1.0
-    return lmat, nodes
+        lt = np.subtract(x[..., None, :], nodes[..., :, None])
+        np.divide(_CHEB_W[:, None], lt, out=lt)
+        # the weights' sum is finite unless the point lies on a node
+        total = lt.sum(axis=-2, keepdims=True)
+        lt /= total
+    *batch, point = np.nonzero(~np.isfinite(total[..., 0, :]))
+    if point.size:
+        lt[(*batch, slice(None), point)] = 0.0
+        near = np.abs(x[(*batch, point)][:, None] - nodes[tuple(batch)]).argmin(axis=-1)
+        lt[(*batch, near, point)] = 1.0
+    return lt, nodes
 
 
-def _cheb_resolved(c: np.ndarray) -> bool:
-    """Whether, along each axis with more than one node, the last two
-    Chebyshev coefficients of the grid values c lie within _CHEB_TAIL of
-    the largest coefficient."""
-    pa, pb = c.shape
-    coef = _CHEB_DCT @ c if pa > 1 else c
-    coef = np.abs(coef @ _CHEB_DCT.T if pb > 1 else coef)
-    tail = max(
-        coef[-2:].max() if pa > 1 else 0.0, coef[:, -2:].max() if pb > 1 else 0.0
-    )
-    return tail <= _CHEB_TAIL * coef.max()
+def _cheb_resolved(c: np.ndarray) -> np.ndarray:
+    """Whether, along each axis, the last two Chebyshev coefficients of each
+    stacked grid of node values c (..., p, p) lie within _CHEB_TAIL of the
+    grid's largest coefficient.  The first and last two coefficient rows
+    and columns decide most grids, as their largest entry bounds the largest
+    coefficient from below; only the grids they leave open are transformed
+    whole."""
+    ends = _CHEB_DCT[[0, -2, -1]]
+    # coefficient rows and columns 0, p-2 and p-1, each as three rows
+    rows = np.abs(ends @ c @ _CHEB_DCT.T)
+    edges = np.maximum(rows, np.abs(_t(_CHEB_DCT @ (c @ ends.T))))
+    tail = edges[..., 1:, :].max(axis=(-2, -1))
+    resolved = np.asarray(tail <= _CHEB_TAIL * edges[..., 0, :].max(axis=-1))
+    left = ~resolved
+    if left.any():
+        coef = np.abs(_CHEB_DCT @ c[left] @ _CHEB_DCT.T)
+        resolved[left] = tail[left] <= _CHEB_TAIL * coef.max(axis=(-2, -1))
+    return resolved
+
+
+def _vecmat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x[r] @ a[r] for stacked vectors and matrices, one BLAS call per row."""
+    return np.matmul(x[..., None, :], a)[..., 0, :]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transposes of stacked matrices."""
+    return a.swapaxes(-1, -2)
 
 
 class _DensePairs:
-    """Dense backend: stacked n x n pair matrices with zero diagonal."""
+    """Dense stack: n x n pair matrices with zero diagonal."""
 
     def __init__(self, m: np.ndarray):
         self.m = m
@@ -128,8 +143,8 @@ class _DensePairs:
         return _equation_sums(self.m), _boundary_sum(self.m)
 
     def bernoulli_sums(self, rows):
-        # row by row, so the m(1-m) temporary stays n x n
-        return _stack_sums(_bernoulli_sums(self.m[r]) for r in rows)
+        m = self.m[rows]
+        return _DensePairs(m * (1.0 - m)).sums()
 
     def products(self, p: np.ndarray, out: np.ndarray) -> None:
         n = self.m.shape[-1]
@@ -142,145 +157,165 @@ class _DensePairs:
 
 
 class _DenseIterate:
-    """Dense backend at one iterate: the strength sums x_ij of stacked rows
-    of free coordinates."""
+    """Dense stack at one iterate: the strength sums x_ij of stacked rows of
+    free coordinates.  [0] and [1] evaluate the mu and mu' pair matrices."""
 
     def __init__(self, free: np.ndarray, fns):
         self.fns = fns
         self.x = _strength_sums(free)
 
-    def _eval(self, fn) -> _DensePairs:
-        return _DensePairs(_zero_diagonal(np.asarray(fn(self.x), dtype=float)))
-
-    def mu(self) -> _DensePairs:
-        return self._eval(self.fns[0])
-
-    def mu_prime(self) -> _DensePairs:
-        return self._eval(self.fns[1])
+    def __getitem__(self, k: int) -> _DensePairs:
+        return _DensePairs(_zero_diagonal(np.asarray(self.fns[k](self.x), dtype=float)))
 
 
 class _ChebPairs:
-    """Compressed backend for one row: f(alpha_i + beta_j) as
-    L_a C L_b^T - diag(d), with d_i = f(alpha_i + beta_i) exact."""
+    """Compressed stack: f(alpha_i + beta_j) of row r as
+    L_a[r] C[r] L_b[r]^T - diag(d[r]), with d[r]_i = f(alpha_i + beta_i)
+    exact.  lt[:, 0] holds L_a^T and lt[:, 1] L_b^T, and ones their row
+    sums L_a^T 1 and L_b^T 1.  Every product is a stacked matmul, one BLAS
+    call per row, so a row's floats do not depend on how many rows share
+    the stack."""
 
-    def __init__(self, la, lb, c, d):
-        self.la, self.lb, self.c, self.d = la, lb, c, d
+    def __init__(self, lt, ones, c, d):
+        self.lt, self.ones, self.c, self.d = lt, ones, c, d
 
     def sums(self):
-        n = self.d.size
-        rows = self.la @ (self.c @ self.lb.sum(axis=0)) - self.d
-        cols = self.lb @ (self.c.T @ self.la.sum(axis=0)) - self.d
-        return np.concatenate([rows, cols[: n - 1]])[None], cols[None, n - 1]
+        n = self.d.shape[-1]
+        rows = _vecmat(_vecmat(self.ones[:, 1], _t(self.c)), self.lt[:, 0]) - self.d
+        cols = _vecmat(_vecmat(self.ones[:, 0], self.c), self.lt[:, 1]) - self.d
+        return np.concatenate([rows, cols[:, : n - 1]], axis=1), cols[:, n - 1]
 
     def bernoulli_sums(self, rows):
-        # rows can only be [0]: this backend holds one row
-        c, d = self.c, self.d
-        return _ChebPairs(self.la, self.lb, c * (1.0 - c), d * (1.0 - d)).sums()
+        c, d, lt, ones = self.c[rows], self.d[rows], self.lt[rows], self.ones[rows]
+        return _ChebPairs(lt, ones, c * (1.0 - c), d * (1.0 - d)).sums()
 
     def products(self, p: np.ndarray, out: np.ndarray) -> None:
-        # one small matmul chain per row of p, so a row's floats do not
-        # depend on how many rows share this operator
-        n = self.d.size
-        la, lb, c, d = self.la, self.lb[: n - 1], self.c, self.d[: n - 1]
-        np.matmul(p[:, None, n:] @ lb @ c.T, la.T, out=out[:, None, :n])
-        np.matmul(p[:, None, :n] @ la @ c, lb.T, out=out[:, None, n:])
+        n = self.d.shape[-1]
+        lta, ltb = self.lt[:, 0], self.lt[:, 1, :, : n - 1]
+        c, d = self.c, self.d[:, : n - 1]
+        np.matmul(p[:, None, n:] @ _t(ltb) @ _t(c), lta, out=out[:, None, :n])
+        np.matmul(p[:, None, :n] @ _t(lta) @ c, ltb, out=out[:, None, n:])
         out[:, : n - 1] -= d * p[:, n:]
         out[:, n:] -= d * p[:, : n - 1]
 
-
-class _ChebIterate:
-    """Compressed backend at one iterate, for one row: mu and mu' are built
-    up front, because their grids' tails decide the backend."""
-
-    def __init__(self, mu: _ChebPairs, mu_prime: _ChebPairs):
-        self._mu, self._mu_prime = mu, mu_prime
-
-    def mu(self) -> _ChebPairs:
-        return self._mu
-
-    def mu_prime(self) -> _ChebPairs:
-        return self._mu_prime
+    def take(self, rows: np.ndarray) -> "_ChebPairs":
+        return _ChebPairs(self.lt[rows], self.ones[rows], self.c[rows], self.d[rows])
 
 
-def _cheb_iterate(free: np.ndarray, fns) -> _ChebIterate | None:
-    """The compressed backend of one row of free coordinates, or None when
-    its box is too wide for _CHEB_NODES nodes."""
-    n = (free.size + 1) // 2
-    alpha, beta = free[:n], np.append(free[n:], 0.0)
-    la, nodes_a = _barycentric(alpha)
-    lb, nodes_b = _barycentric(beta)
-    grid = nodes_a[:, None] + nodes_b[None, :]
-    mu, mu_prime = (np.asarray(fn(grid), dtype=float) for fn in fns)
-    if not all(_cheb_resolved(c) for c in (mu, mu_prime, mu * (1.0 - mu))):
-        return None
-    diag = alpha + beta
-    return _ChebIterate(
-        *(_ChebPairs(la, lb, c, np.asarray(fn(diag), dtype=float))
-          for c, fn in zip((mu, mu_prime), fns))
+def _cheb_iterate(free: np.ndarray, fns) -> tuple[np.ndarray, tuple]:
+    """(resolved, (mu, mu')): the compressed stacks of stacked free
+    coordinates, and the mask of rows whose mu, mu' and mu(1-mu) grids
+    _CHEB_NODES nodes resolve.  Both stacks are built up front, because
+    their grids' tails decide the backend."""
+    n = (free.shape[-1] + 1) // 2
+    ab = np.zeros((free.shape[0], 2, n))
+    ab[:, 0] = free[:, :n]
+    ab[:, 1, : n - 1] = free[:, n:]
+    lt, nodes = _barycentric(ab)
+    grid = nodes[:, 0, :, None] + nodes[:, 1, None, :]
+    # the mu, mu' and mu(1-mu) grids, filled into one array for the tail check
+    grids = np.empty((3,) + grid.shape)
+    for k, fn in enumerate(fns):
+        grids[k] = fn(grid)
+    np.subtract(1.0, grids[0], out=grids[2])
+    grids[2] *= grids[0]
+    resolved = _cheb_resolved(grids).all(axis=0)
+    ones, diag = lt.sum(axis=-1), ab[:, 0] + ab[:, 1]
+    return resolved, tuple(
+        _ChebPairs(lt, ones, grids[k], np.asarray(fn(diag), dtype=float))
+        for k, fn in enumerate(fns)
     )
 
 
-def _stack_sums(sums) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (equation sums, boundary sum) pairs row-wise."""
-    eq, bd = zip(*sums)
-    return np.vstack(eq), np.hstack(bd)
-
-
 class _Pairs:
-    """Pair matrices with zero diagonal for stacked rows, each held by its
-    row's backend.  One part serves all rows (and a part with one row is
-    shared by every row it is applied to), or parts[r] serves row r.
+    """Pair matrices with zero diagonal for stacked rows, held in at most
+    two stacks, compressed and dense.  A lone stack serves every row (and a
+    stack with one row is shared by every row it is applied to); otherwise
+    stack k serves the rows rows[k], in ascending order.
 
     At an iterate, mu() and mu_prime() give the pair matrices of mu and mu';
     those give sums() (equation sums and boundary sum), bernoulli_sums(rows)
-    (the same of mu(1-mu), for the given rows) and products(p, out) (the
-    two cross-block products W[:, :n-1] p_b and p_a W[:, :n-1] per row).
+    (the same of mu(1-mu), for the given ascending rows) and products(p, out)
+    (the two cross-block products W[:, :n-1] p_b and p_a W[:, :n-1] per
+    row).
     """
 
-    def __init__(self, parts: list):
-        self.parts = parts
+    def __init__(self, stacks: list, rows: list | None = None):
+        self.stacks, self.rows = stacks, rows
 
     def mu(self) -> "_Pairs":
-        return _Pairs([part.mu() for part in self.parts])
+        return _Pairs([stack[0] for stack in self.stacks], self.rows)
 
     def mu_prime(self) -> "_Pairs":
-        return _Pairs([part.mu_prime() for part in self.parts])
+        return _Pairs([stack[1] for stack in self.stacks], self.rows)
 
-    def take(self, rows: np.ndarray) -> "_Pairs":
-        """The rows where the boolean mask rows holds."""
-        if rows.all():
+    @staticmethod
+    def _merge(results: list, rows: list):
+        """The per-stack results (tuples of arrays), each at its rows."""
+        if len(results) == 1:
+            return results[0]
+        size = sum(r.size for r in rows)
+        merged = []
+        for arrays in zip(*results):
+            out = np.empty((size,) + arrays[0].shape[1:])
+            for a, r in zip(arrays, rows):
+                out[r] = a
+            merged.append(out)
+        return tuple(merged)
+
+    def take(self, keep: np.ndarray) -> "_Pairs":
+        """The rows where the boolean mask keep holds."""
+        if keep.all():
             return self
-        if not rows.any():
-            return _Pairs([])
-        if len(self.parts) == 1:  # a dense stack
-            return _Pairs([self.parts[0].take(rows)])
-        return _Pairs([part for part, keep in zip(self.parts, rows) if keep])
+        if self.rows is None:
+            return _Pairs([self.stacks[0].take(np.flatnonzero(keep))])
+        renumber = np.cumsum(keep) - 1
+        stacks, rows = [], []
+        for stack, r in zip(self.stacks, self.rows):
+            mine = keep[r]
+            if mine.any():
+                stacks.append(stack.take(np.flatnonzero(mine)))
+                rows.append(renumber[r[mine]])
+        return _Pairs(stacks, rows if len(stacks) > 1 else None)
 
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.parts) == 1:
-            return self.parts[0].sums()
-        return _stack_sums(part.sums() for part in self.parts)
+        return self._merge([stack.sums() for stack in self.stacks], self.rows)
 
     def bernoulli_sums(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.parts) == 1:
-            return self.parts[0].bernoulli_sums(rows)
-        return _stack_sums(self.parts[r].bernoulli_sums([0]) for r in rows)
+        if self.rows is None:
+            return self.stacks[0].bernoulli_sums(rows)
+        results, where = [], []
+        for stack, r in zip(self.stacks, self.rows):
+            hit = np.isin(r, rows)
+            if hit.any():
+                results.append(stack.bernoulli_sums(np.flatnonzero(hit)))
+                where.append(np.searchsorted(rows, r[hit]))
+        return self._merge(results, where)
 
     def products(self, p: np.ndarray, out: np.ndarray) -> None:
-        if len(self.parts) == 1:
-            self.parts[0].products(p, out)
+        if self.rows is None:
+            self.stacks[0].products(p, out)
             return
-        for r, part in enumerate(self.parts):
-            part.products(p[r : r + 1], out[r : r + 1])
+        for stack, r in zip(self.stacks, self.rows):
+            q = np.empty((r.size, p.shape[1]))
+            stack.products(p[r], q)
+            out[r] = q
 
 
 def _pairs(free: np.ndarray, model: EdgeMeanModel) -> _Pairs:
     """The pair operator at stacked free coordinates: dense below
-    _DENSE_BELOW nodes, else row by row compressed where the box allows."""
+    _DENSE_BELOW nodes, else compressed on the rows whose box allows it and
+    dense on the others."""
     fns = (model.mu, model.mu_prime)
     n = (free.shape[-1] + 1) // 2
     if n < _DENSE_BELOW:
         return _Pairs([_DenseIterate(free, fns)])
-    return _Pairs(
-        [_cheb_iterate(row, fns) or _DenseIterate(row[None], fns) for row in free]
-    )
+    resolved, cheb = _cheb_iterate(free, fns)
+    if resolved.all():
+        return _Pairs([cheb])
+    wide = np.flatnonzero(~resolved)
+    dense = _DenseIterate(free[wide], fns)
+    if wide.size == resolved.size:
+        return _Pairs([dense])
+    narrow = np.flatnonzero(resolved)
+    return _Pairs([tuple(c.take(narrow) for c in cheb), dense], [narrow, wide])

@@ -193,7 +193,10 @@ class RepRecord:
 
 # Replications are fitted in blocks of _block_size(n): a stacked n x n
 # pair array of the Newton core then holds at most _BLOCK_ELEMENTS floats
-# (1 MB), which bounds the harness's extra memory whatever n is.
+# (1 MB), which bounds the harness's extra memory whatever n is.  Such
+# arrays exist only for the rows the pair operator keeps dense (every row
+# below pairs._DENSE_BELOW, and rows whose box is too wide); a compressed
+# row holds O(32 n) floats.
 _BLOCK_ELEMENTS = 1 << 17
 
 

@@ -149,6 +149,20 @@ class TestPrivatize:
         assert err.count("\n") == 1 and "too large" in err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("command", ["privatize", "estimate"])
+    @pytest.mark.parametrize("text", ["1 2\n3 10000000000\n", "n=5000000000\n1 2\n"])
+    def test_node_count_beyond_any_array_exits_1(self, tmp_path, capsys, command, text):
+        # n^2 adjacency bytes above 2^63: numpy refuses the shape itself
+        # instead of failing to allocate it
+        edges = tmp_path / "huge.txt"
+        edges.write_text(text)
+        flags = ["--epsilon", "1"] if command == "privatize" else []
+        code = run_cli(command, str(edges), *flags, "--out", str(tmp_path / "o.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too large" in err and "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
+
     def test_negative_seed_is_usage_error(self, small_edge_list, tmp_path, capsys):
         code = run_cli("privatize", small_edge_list, "--epsilon", "1",
                        "--seed", "-1", "--out", str(tmp_path / "o.json"))

@@ -23,11 +23,14 @@ from dpgraph import (
     build_s_approx,
     confidence_interval,
     convergence_diagnostics,
+    degrees,
     expected_bidegree,
     jacobian,
     moment_residual,
     newton_solve,
+    privatize,
     s_approx_error,
+    sample_graph,
     standardized_stats,
     variance_estimates,
 )
@@ -282,7 +285,14 @@ def box_free(n, half_width, seed, center=0.0):
 
 
 def dense_backend(free, model):
-    return pairs._DenseIterate(free[None], (model.mu, model.mu_prime))
+    return pairs._Pairs([pairs._DenseIterate(free[None], (model.mu, model.mu_prime))])
+
+
+def compressed_backend(free, model):
+    """The compressed operator of one row, or None when its box is too wide
+    for the nodes."""
+    resolved, stack = pairs._cheb_iterate(free[None], (model.mu, model.mu_prime))
+    return pairs._Pairs([stack]) if resolved[0] else None
 
 
 def assert_backends_agree(got, want, n, rng):
@@ -310,7 +320,7 @@ class TestPairOperator:
     @settings(max_examples=16, deadline=None, database=None, derandomize=True)
     @given(
         half_width=st.sampled_from([0.2, 1.5, 2.2, 3.0]),
-        n=st.sampled_from([300, 2000]),
+        n=st.sampled_from([100, 300, 2000]),
         model_name=st.sampled_from(["probit", "logit"]),
         center=st.floats(-1.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
@@ -320,7 +330,7 @@ class TestPairOperator:
 
         model = get_model(model_name)
         free = box_free(n, half_width, seed, center)
-        row = pairs._cheb_iterate(free, (model.mu, model.mu_prime))
+        row = compressed_backend(free, model)
         # 32 nodes resolve mu, mu' and mu(1-mu) up to half-width 1.5; at 3
         # the trailing coefficients of mu(1-mu) reach 1e-11 to 1e-10, so
         # the row is dense
@@ -338,10 +348,15 @@ class TestPairOperator:
         free = np.zeros(2 * n - 1)
         if which == "beta":
             free[:n] = np.linspace(-1.0, 1.0, n)
-        row = pairs._cheb_iterate(free, (PROBIT.mu, PROBIT.mu_prime))
-        la, lb = row.mu().la, row.mu().lb
-        assert lb.shape == (n, 1) and np.all(lb == 1.0)
-        assert la.shape == ((n, 1) if which == "both" else (n, 32))
+        row = compressed_backend(free, PROBIT)
+        stack = row.mu().stacks[0]
+        la, lb = stack.lt[0].swapaxes(-1, -2)
+        # a zero-width axis has 32 coincident nodes, and every point reads
+        # the first one
+        one_node = np.zeros((n, 32))
+        one_node[:, 0] = 1.0
+        assert np.array_equal(lb, one_node)
+        assert np.array_equal(la, one_node) == (which == "both")
         assert_backends_agree(row, dense_backend(free, PROBIT), n,
                               np.random.default_rng(0))
 
@@ -351,8 +366,8 @@ class TestPairOperator:
         lo, hi = free[:n].min(), free[:n].max()
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * pairs._CHEB_T
         free[7], free[8] = nodes[5], nodes[20]
-        row = pairs._cheb_iterate(free, (PROBIT.mu, PROBIT.mu_prime))
-        la = row.mu().la
+        row = compressed_backend(free, PROBIT)
+        la = row.mu().stacks[0].lt[0, 0].T
         assert np.all(np.isfinite(la))
         np.testing.assert_array_equal(la[7], np.eye(32)[5])
         np.testing.assert_array_equal(la[8], np.eye(32)[20])
@@ -366,29 +381,90 @@ class TestPairOperator:
         model = get_model(model_name)
         n = 300
         free = box_free(n, 5.0, 2)
-        assert pairs._cheb_iterate(free, (model.mu, model.mu_prime)) is None
+        assert compressed_backend(free, model) is None
         op = pairs._pairs(np.stack([free, box_free(n, 0.5, 3)]), model)
-        assert isinstance(op.parts[0], pairs._DenseIterate)
-        assert isinstance(op.parts[1], pairs._ChebIterate)
+        cheb, dense = op.stacks
+        assert isinstance(dense, pairs._DenseIterate)
+        assert isinstance(cheb[0], pairs._ChebPairs)
+        assert [r.tolist() for r in op.rows] == [[1], [0]]
 
     def test_unresolved_bernoulli_grid_alone_falls_back(self):
         # at half-width 2.5 the probit mu and mu' grids are resolved, but
         # Phi(1 - Phi) is not, and the variance sums would be off
         n = 300
         free = box_free(n, 2.5, 6)
-        la, nodes_a = pairs._barycentric(free[:n])
-        lb, nodes_b = pairs._barycentric(np.append(free[n:], 0.0))
-        grid = nodes_a[:, None] + nodes_b[None, :]
+        la, nodes_a = pairs._barycentric(free[None, :n])
+        lb, nodes_b = pairs._barycentric(np.append(free[n:], 0.0)[None])
+        grid = nodes_a[0, :, None] + nodes_b[0, None, :]
         mu, mu_prime = PROBIT.mu(grid), PROBIT.mu_prime(grid)
         assert pairs._cheb_resolved(mu) and pairs._cheb_resolved(mu_prime)
         assert not pairs._cheb_resolved(mu * (1.0 - mu))
-        assert pairs._cheb_iterate(free, (PROBIT.mu, PROBIT.mu_prime)) is None
+        assert compressed_backend(free, PROBIT) is None
+
+    def test_stacked_rows_of_different_widths_match_dense(self):
+        n = 100
+        widths = (0.2, 0.8, 1.5, 2.2)
+        free = np.stack([box_free(n, h, 10 + k) for k, h in enumerate(widths)])
+        op = pairs._pairs(free, PROBIT)
+        assert op.rows is None and isinstance(op.stacks[0][0], pairs._ChebPairs)
+        rng = np.random.default_rng(5)
+        p = rng.standard_normal((len(widths), 2 * n - 1))
+        tol = 1e-14 * n
+        bernoulli = op.mu().bernoulli_sums(np.arange(len(widths)))
+        for which in ("mu", "mu_prime"):
+            got = getattr(op, which)()
+            sums, q = got.sums(), np.empty_like(p)
+            got.products(p, q)
+            for r in range(len(widths)):
+                want = dense_backend(free[r], PROBIT)
+                if which == "mu":
+                    for a, b in zip(bernoulli, want.mu().bernoulli_sums([0])):
+                        np.testing.assert_allclose(a[r], b[0], rtol=0, atol=tol)
+                want = getattr(want, which)()
+                for a, b in zip(sums, want.sums()):
+                    np.testing.assert_allclose(a[r], b[0], rtol=0, atol=tol)
+                qw = np.empty((1, 2 * n - 1))
+                want.products(p[r : r + 1], qw)
+                np.testing.assert_allclose(q[r], qw[0], rtol=0, atol=tol)
+
+    def test_split_stacks_serve_each_row_as_if_alone(self):
+        # rows 0 and 2 are compressed, rows 1 and 3 too wide and dense: each
+        # row of the split operator equals its lone operator bit for bit
+        n = 100
+        widths = (0.5, 5.0, 1.0, 5.0)
+        free = np.stack([box_free(n, h, 30 + k) for k, h in enumerate(widths)])
+        op = pairs._pairs(free, PROBIT)
+        assert [r.tolist() for r in op.rows] == [[0, 2], [1, 3]]
+        lone = [pairs._pairs(free[r : r + 1], PROBIT) for r in range(4)]
+
+        def same_row(got, k, alone):
+            for a, b in zip(got, alone):
+                assert np.array_equal(a[k], b[0])
+
+        p = np.random.default_rng(6).standard_normal((4, 2 * n - 1))
+        for which in ("mu", "mu_prime"):
+            got = getattr(op, which)()
+            q = np.empty_like(p)
+            got.products(p, q)
+            for r in range(4):
+                alone = getattr(lone[r], which)()
+                same_row(got.sums(), r, alone.sums())
+                qa = np.empty((1, 2 * n - 1))
+                alone.products(p[r : r + 1], qa)
+                assert np.array_equal(q[r], qa[0])
+        bernoulli = op.mu().bernoulli_sums(np.array([2, 3]))
+        for k, r in enumerate((2, 3)):
+            same_row(bernoulli, k, lone[r].mu().bernoulli_sums([0]))
+        kept = op.mu_prime().take(np.array([False, True, True, True]))
+        assert [r.tolist() for r in kept.rows] == [[1], [0, 2]]
+        for k, r in enumerate((1, 2, 3)):
+            same_row(kept.sums(), k, lone[r].mu_prime().sums())
 
     def test_small_n_stays_dense(self):
         n = pairs._DENSE_BELOW - 1
         op = pairs._pairs(np.stack([box_free(n, 0.5, 1)] * 3), PROBIT)
-        assert len(op.parts) == 1
-        assert isinstance(op.parts[0], pairs._DenseIterate)
+        assert len(op.stacks) == 1
+        assert isinstance(op.stacks[0], pairs._DenseIterate)
 
     def test_oracle_recovery_at_n_2000(self, monkeypatch):
         theta = random_theta(2000, 0.75, 2000)
@@ -402,6 +478,24 @@ class TestPairOperator:
         assert fit.exists
         assert np.abs(fit.theta.to_free() - theta.to_free()).max() <= 1e-8
         assert np.all(fit.var_diag > 0)
+
+    def test_anchor_shaped_block_takes_the_compressed_path(self, monkeypatch):
+        # a harness block at the anchor cell's shape: n = 100, flat truth,
+        # releases at epsilon = 2, 13 rows
+        n = 100
+        rng = np.random.default_rng(8)
+        zout, zin = np.empty((13, n)), np.empty((13, n))
+        for r in range(13):
+            g = sample_graph(ParameterVector.zeros(n), PROBIT, rng)
+            noisy = privatize(degrees(g), 2.0, rng)
+            zout[r], zin[r] = noisy.z_out, noisy.z_in
+
+        def refuse(free):
+            raise AssertionError("the fit built a dense n x n array")
+
+        monkeypatch.setattr(pairs, "_strength_sums", refuse)
+        block = estimator._newton_block(zout, zin, PROBIT, np.zeros(2 * n - 1))
+        assert set(block.reason) <= {None, "range"} and None in block.reason
 
     def test_compressed_block_rows_equal_lone_fits(self):
         n = 200

@@ -26,7 +26,7 @@ from dpgraph import (
     standardized_stats,
     variance_estimates,
 )
-from dpgraph import estimator, simulation
+from dpgraph import estimator, pairs, simulation
 from dpgraph.cli import main
 from dpgraph.simulation import qq_csv, resolve_L, resolve_epsilon
 
@@ -225,6 +225,10 @@ MIXED = dict(n=24, L_spec="zero", eps_spec="fixed:1.5", reps=70, seed=8,
 MIXED_ARGS = ["simulate", "--n", "24", "--eps", "fixed:1.5", "--reps", "70",
               "--seed", "8", "--pairs", "1,2", "--pairs", "3,4",
               "--stats", "xi,zeta,eta"]
+# the anchor cell's shape, n = 100, which the compressed backend fits
+ANCHOR_ARGS = ["simulate", "--n", "100", "--eps", "fixed:2", "--reps", "30",
+               "--seed", "11", "--pairs", "1,2", "--pairs", "50,51",
+               "--stats", "xi,zeta,eta"]
 
 
 def _theta(n, scale, seed):
@@ -239,19 +243,26 @@ class TestBlockInvariance:
     """Replications are fitted in stacked blocks; no replication's output may
     depend on the block size, on its block-mates or on the worker count."""
 
-    def _outputs(self, tmp_path, monkeypatch, tag, block, workers):
-        n = MIXED["n"]
+    def _outputs(self, tmp_path, monkeypatch, tag, block, workers, args=MIXED_ARGS):
+        n = int(args[args.index("--n") + 1])
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block * n * n)
         assert simulation._block_size(n) == block
         monkeypatch.setenv("DPGRAPH_THREADS", str(workers))
         out, dump = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.stats"
-        assert main(MIXED_ARGS + ["--out", str(out), "--dump-stats", str(dump)]) == 0
+        assert main(args + ["--out", str(out), "--dump-stats", str(dump)]) == 0
         return out.read_bytes(), dump.read_bytes()
 
     def test_block_size_and_workers_do_not_change_outputs(self, tmp_path, monkeypatch):
         first = self._outputs(tmp_path, monkeypatch, "b1", 1, 1)
         assert first == self._outputs(tmp_path, monkeypatch, "b64", 64, 1)
         assert first == self._outputs(tmp_path, monkeypatch, "b8w2", 8, 2)
+
+    def test_compressed_cell_ignores_block_size_and_workers(self, tmp_path, monkeypatch):
+        assert pairs._DENSE_BELOW <= 100
+        first = self._outputs(tmp_path, monkeypatch, "c1", 1, 1, ANCHOR_ARGS)
+        for tag, block, workers in (("c13", 13, 1), ("c64", 64, 1), ("c13w2", 13, 2)):
+            assert first == self._outputs(tmp_path, monkeypatch, tag, block, workers,
+                                          ANCHOR_ARGS)
 
     def test_each_replication_matches_a_lone_fit(self, monkeypatch):
         cfg = ExperimentConfig(**MIXED)
@@ -294,6 +305,39 @@ class TestBlockInvariance:
             assert block.iterations[k] == fit.iterations
             assert np.array_equal(block.free[k], fit.theta.to_free())
             assert block.residual_norm[k] == fit.residual_norm
+
+    def test_compressed_block_mixing_dense_and_range_rows(self, monkeypatch):
+        # at n = 100 the narrow row stays compressed, the wide one (scale 3)
+        # falls back to dense once its iterates spread, and the third row
+        # has an empty node, so no solution exists
+        n = 100
+        narrow = expected_bidegree(_theta(n, 0.3, 21), PROBIT)
+        wide = expected_bidegree(_theta(n, 3.0, 22), PROBIT)
+        empty_out = narrow[0].copy()
+        empty_out[7] = 0.0
+        zout = np.array([narrow[0], empty_out, wide[0]])
+        zin = np.array([narrow[1], narrow[1], wide[1]])
+        split = []
+        build = estimator._pairs
+
+        def spy(free, model):
+            op = build(free, model)
+            split.append(op.rows is not None)  # a compressed and a dense stack
+            return op
+
+        monkeypatch.setattr(estimator, "_pairs", spy)
+        start = np.zeros(2 * n - 1)
+        block = estimator._newton_block(zout, zin, PROBIT, start)
+        assert block.reason == [None, "range", None]
+        assert any(split)
+        for k in (0, 2):
+            alone = estimator._newton_block(zout[k : k + 1], zin[k : k + 1], PROBIT,
+                                            start)
+            assert block.iterations[k] == alone.iterations[0]
+            assert block.residual_norm[k] == alone.residual_norm[0]
+            assert np.array_equal(block.free[k], alone.free[0])
+            for got, want in zip(block.sums, alone.sums):
+                assert np.array_equal(got[k], want[0])
 
     def test_failing_block_mates_leave_a_fit_unchanged(self, monkeypatch):
         # with the CG cap at 12, the mild row (scale 0.3) needs at most 8
