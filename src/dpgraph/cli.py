@@ -30,6 +30,7 @@ from .model import get_model
 from .privacy import NoisyBiDegree, PrivacyParams, privatize
 from .simulation import (
     EPS_SPECS,
+    L_SPECS,
     ExperimentConfig,
     qq_csv,
     qq_export,
@@ -164,7 +165,11 @@ def cmd_estimate(args) -> int:
                 "private release degrees must be integers below 2**63 in "
                 "magnitude; use --raw for real-valued degrees"
             )
-        z = NoisyBiDegree(z_out, z_in, PrivacyParams.from_epsilon(epsilon))
+        z = NoisyBiDegree(
+            z_out.astype(np.int64),
+            z_in.astype(np.int64),
+            PrivacyParams.from_epsilon(epsilon),
+        )
     fit = newton_solve(z, model)
     _dump_json(args.out, fit.to_json_dict())
     if fit.exists:
@@ -362,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--L",
         default="zero",
-        choices=["zero", "loglogn", "sqrtlogn"],
+        choices=L_SPECS,
         help="true-parameter ramp height",
     )
     p.add_argument(
@@ -376,7 +381,9 @@ def build_parser() -> _Parser:
         action="store_true",
         help="run 10000 replications regardless of --reps",
     )
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument(
+        "--seed", type=int, default=0, help="master seed in [0, 2^64) (default 0)"
+    )
     p.add_argument(
         "--pairs",
         action="append",
@@ -424,9 +431,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"dpgraph: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EdgeListParseError as exc:
-        print(f"dpgraph: {exc}", file=sys.stderr)
-        return EXIT_IO
     except NumericalFailure as exc:
         print(f"dpgraph: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -59,14 +59,7 @@ from .errors import (
 )
 from .graph import BiDegree, ParameterVector
 from .model import EdgeMeanModel, bounds_for
-from .pairs import (
-    _boundary_sum,
-    _DensePairs,
-    _equation_sums,
-    _pair_matrix,
-    _Pairs,
-    _pairs,
-)
+from .pairs import _DensePairs, _pair_matrix, _Pairs, _pairs
 from .privacy import NoisyBiDegree, PrivacyParams
 
 __all__ = [
@@ -166,7 +159,7 @@ class JacobianMatrix:
 
     @property
     def v_diag(self) -> np.ndarray:
-        return _equation_sums(self.w)
+        return _DensePairs(self.w).sums()[0]
 
     @property
     def boundary(self) -> np.ndarray:
@@ -181,7 +174,7 @@ class JacobianMatrix:
 
     @property
     def v_2n_2n(self) -> float:
-        return float(_boundary_sum(self.w))
+        return float(_DensePairs(self.w).sums()[1])
 
 
 def jacobian(theta: ParameterVector, model: EdgeMeanModel) -> JacobianMatrix:
@@ -294,35 +287,18 @@ def _pcg_block(
     return x, ok
 
 
-def _pcg_solve(v: JacobianMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve V x = b for one system; raises SingularSystemError where
-    _pcg_block reports failure."""
-    x, ok = _pcg_block(
-        v.v_diag[None],
-        np.array([v.v_2n_2n]),
-        _Pairs([_DensePairs(v.w[None])]),
-        b[None],
-    )
-    if not ok[0]:
-        raise SingularSystemError(
-            "conjugate gradients failed: V is numerically singular"
-        )
-    return x[0]
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of a moment fit.
 
-    exists=False carries a reason ("range", "max_iter", "diverged",
-    "singular"); it is the statistical event that the realized degrees
-    admit no solution, not a numerical bug.  newton_solve attaches the
-    plug-in variances (var_diag, shared_var, privacy_var) to every fit that
-    exists; they are None otherwise.
+    A reason ("range", "max_iter", "diverged", "singular") means the
+    estimate does not exist: the statistical event that the realized
+    degrees admit no solution, not a numerical bug.  newton_solve attaches
+    the plug-in variances (var_diag, shared_var, privacy_var) to every fit
+    that exists; they are None otherwise.
     """
 
     theta: ParameterVector
-    exists: bool
     reason: str | None
     iterations: int
     residual_norm: float
@@ -335,6 +311,10 @@ class FitResult:
     @property
     def n(self) -> int:
         return self.theta.n
+
+    @property
+    def exists(self) -> bool:
+        return self.reason is None
 
     @property
     def converged(self) -> bool:
@@ -350,24 +330,19 @@ class FitResult:
             "iterations": self.iterations,
             "residual_norm": self.residual_norm,
         }
-        if self.exists:
-            out["alpha"] = self.theta.alpha.tolist()
-            out["beta"] = self.theta.beta.tolist()
-        else:
+        if not self.exists:
             out["reason"] = self.reason
-            out["alpha"] = None
-            out["beta"] = None
-        if self.var_diag is not None:
-            se = np.sqrt(self.var_diag)
-            out["se_alpha"] = se[: self.n].tolist()
+            return out | dict.fromkeys(("alpha", "beta", "se_alpha", "se_beta"))
+        se = np.sqrt(self.var_diag)
+        return out | {
+            "alpha": self.theta.alpha.tolist(),
+            "beta": self.theta.beta.tolist(),
+            "se_alpha": se[: self.n].tolist(),
             # beta_n is pinned, so its reported std. error is 0
-            out["se_beta"] = se[self.n :].tolist() + [0.0]
-            out["shared_var"] = self.shared_var
-            out["privacy_var"] = self.privacy_var
-        else:
-            out["se_alpha"] = None
-            out["se_beta"] = None
-        return out
+            "se_beta": se[self.n :].tolist() + [0.0],
+            "shared_var": self.shared_var,
+            "privacy_var": self.privacy_var,
+        }
 
 
 @dataclass(frozen=True)
@@ -480,8 +455,7 @@ def _newton_block(
             raise NumericalFailure(f"non-finite residual at iteration {it}")
         finish(live[conv], None, it, resid[conv], free_l[conv])
         if conv.any():
-            rows = np.flatnonzero(conv)
-            sums[0][live[rows]], sums[1][live[rows]] = mu.bernoulli_sums(rows)
+            sums[0][live[conv]], sums[1][live[conv]] = mu.take(conv).bernoulli().sums()
         mu = None
         # mu' on every row: the next system of the rows that step again, and
         # the variance sums of the converged ones
@@ -536,7 +510,6 @@ def newton_solve(
     fit = _newton_block(zout[None], zin[None], model, theta.to_free())
     result = FitResult(
         theta=ParameterVector.from_free(fit.free[0]),
-        exists=fit.reason[0] is None,
         reason=fit.reason[0],
         iterations=int(fit.iterations[0]),
         residual_norm=float(fit.residual_norm[0]),
@@ -645,7 +618,7 @@ def variance_estimates(
     sums that newton_solve takes from its last iterate, here from the pair
     operator at one given point."""
     pairs = _pairs(theta_hat.to_free()[None], model)
-    u_diag, u_2n_2n = pairs.mu().bernoulli_sums([0])
+    u_diag, u_2n_2n = pairs.mu().bernoulli().sums()
     v_diag, v_2n_2n = pairs.mu_prime().sums()
     return VarianceInputs(
         u_diag[0],
@@ -672,6 +645,8 @@ def _stat_indices(kind: str, i: int, j: int, n: int) -> tuple[int, int]:
         raise DomainError(f"kind must be one of {STAT_KINDS}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError(f"pair ({i}, {j}) out of range for n={n}")
+    if i == j and kind != "zeta":
+        raise DomainError(f"{kind} needs i != j: its contrast at ({i}, {i}) is 0")
     if kind == "xi":
         return i - 1, j - 1
     # beta_n is pinned with zero variance, so beta indices stop at n-1
@@ -728,6 +703,8 @@ def standardized_stats(
     variances only, which matches the asymptotic covariance of these
     contrasts.
     """
+    if theta_star.n != fit.n:
+        raise DomainError(f"truth has n={theta_star.n}, fit has n={fit.n}")
     if not len(pairs):
         return np.empty(0)
     zd = _require_variance(fit)

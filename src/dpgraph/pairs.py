@@ -39,18 +39,6 @@ _CHEB_TAIL = 1e-13
 _DENSE_BELOW = 3 * _CHEB_NODES
 
 
-def _equation_sums(m: np.ndarray) -> np.ndarray:
-    """The n row sums and the first n-1 column sums of stacked n x n pair
-    matrices: the sides of the 2n-1 used moment equations."""
-    n = m.shape[-1]
-    return np.concatenate([m.sum(axis=-1), m.sum(axis=-2)[..., : n - 1]], axis=-1)
-
-
-def _boundary_sum(m: np.ndarray) -> np.ndarray:
-    """Sum of the last column of stacked n x n pair matrices."""
-    return m[..., :, -1].sum(axis=-1)
-
-
 def _strength_sums(free: np.ndarray) -> np.ndarray:
     """x[..., i, j] = alpha_i + beta_j from stacked free coordinates."""
     n = (free.shape[-1] + 1) // 2
@@ -140,11 +128,14 @@ class _DensePairs:
         self.m = m
 
     def sums(self):
-        return _equation_sums(self.m), _boundary_sum(self.m)
+        """The n row sums and first n-1 column sums of each matrix (the
+        sides of the 2n-1 used moment equations), and its last column sum."""
+        m, n = self.m, self.m.shape[-1]
+        sides = np.concatenate([m.sum(axis=-1), m.sum(axis=-2)[..., : n - 1]], axis=-1)
+        return sides, m[..., :, -1].sum(axis=-1)
 
-    def bernoulli_sums(self, rows):
-        m = self.m[rows]
-        return _DensePairs(m * (1.0 - m)).sums()
+    def bernoulli(self) -> "_DensePairs":
+        return _DensePairs(self.m * (1.0 - self.m))
 
     def products(self, p: np.ndarray, out: np.ndarray) -> None:
         n = self.m.shape[-1]
@@ -185,9 +176,9 @@ class _ChebPairs:
         cols = _vecmat(_vecmat(self.ones[:, 0], self.c), self.lt[:, 1]) - self.d
         return np.concatenate([rows, cols[:, : n - 1]], axis=1), cols[:, n - 1]
 
-    def bernoulli_sums(self, rows):
-        c, d, lt, ones = self.c[rows], self.d[rows], self.lt[rows], self.ones[rows]
-        return _ChebPairs(lt, ones, c * (1.0 - c), d * (1.0 - d)).sums()
+    def bernoulli(self) -> "_ChebPairs":
+        c, d = self.c, self.d
+        return _ChebPairs(self.lt, self.ones, c * (1.0 - c), d * (1.0 - d))
 
     def products(self, p: np.ndarray, out: np.ndarray) -> None:
         n = self.d.shape[-1]
@@ -234,10 +225,10 @@ class _Pairs:
     stack k serves the rows rows[k], in ascending order.
 
     At an iterate, mu() and mu_prime() give the pair matrices of mu and mu';
-    those give sums() (equation sums and boundary sum), bernoulli_sums(rows)
-    (the same of mu(1-mu), for the given ascending rows) and products(p, out)
-    (the two cross-block products W[:, :n-1] p_b and p_a W[:, :n-1] per
-    row).
+    those give sums() (equation sums and boundary sum), bernoulli() (the
+    pair matrices of mu(1-mu), from those of mu), take(keep) (a subset of
+    the rows) and products(p, out) (the two cross-block products
+    W[:, :n-1] p_b and p_a W[:, :n-1] per row).
     """
 
     def __init__(self, stacks: list, rows: list | None = None):
@@ -248,20 +239,6 @@ class _Pairs:
 
     def mu_prime(self) -> "_Pairs":
         return _Pairs([stack[1] for stack in self.stacks], self.rows)
-
-    @staticmethod
-    def _merge(results: list, rows: list):
-        """The per-stack results (tuples of arrays), each at its rows."""
-        if len(results) == 1:
-            return results[0]
-        size = sum(r.size for r in rows)
-        merged = []
-        for arrays in zip(*results):
-            out = np.empty((size,) + arrays[0].shape[1:])
-            for a, r in zip(arrays, rows):
-                out[r] = a
-            merged.append(out)
-        return tuple(merged)
 
     def take(self, keep: np.ndarray) -> "_Pairs":
         """The rows where the boolean mask keep holds."""
@@ -278,19 +255,22 @@ class _Pairs:
                 rows.append(renumber[r[mine]])
         return _Pairs(stacks, rows if len(stacks) > 1 else None)
 
-    def sums(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._merge([stack.sums() for stack in self.stacks], self.rows)
+    def bernoulli(self) -> "_Pairs":
+        return _Pairs([stack.bernoulli() for stack in self.stacks], self.rows)
 
-    def bernoulli_sums(self, rows) -> tuple[np.ndarray, np.ndarray]:
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
+        results = [stack.sums() for stack in self.stacks]
         if self.rows is None:
-            return self.stacks[0].bernoulli_sums(rows)
-        results, where = [], []
-        for stack, r in zip(self.stacks, self.rows):
-            hit = np.isin(r, rows)
-            if hit.any():
-                results.append(stack.bernoulli_sums(np.flatnonzero(hit)))
-                where.append(np.searchsorted(rows, r[hit]))
-        return self._merge(results, where)
+            return results[0]
+        # each stack's sums, placed at its rows
+        size = sum(r.size for r in self.rows)
+        merged = []
+        for arrays in zip(*results):
+            out = np.empty((size,) + arrays[0].shape[1:])
+            for a, r in zip(arrays, self.rows):
+                out[r] = a
+            merged.append(out)
+        return tuple(merged)
 
     def products(self, p: np.ndarray, out: np.ndarray) -> None:
         if self.rows is None:

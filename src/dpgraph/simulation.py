@@ -157,6 +157,10 @@ class ExperimentConfig:
             raise DomainError("n must be >= 4")
         if self.reps < 1:
             raise DomainError("reps must be >= 1")
+        # derive_stream_seed reads the seed modulo 2^64: outside [0, 2^64)
+        # two seeds would alias to one stream
+        if not 0 <= self.seed <= _MASK64:
+            raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
         _normal_quantile(self.level)
         resolve_L(self.L_spec, self.n)
         resolve_epsilon(self.eps_spec, self.n)
@@ -184,11 +188,14 @@ class StatRecord:
 class RepRecord:
     rep_index: int
     epsilon: float
-    exists: bool
     reason: str | None
     iterations: int
     deviation_ok: bool
     stats: tuple[StatRecord, ...] = field(default_factory=tuple)
+
+    @property
+    def exists(self) -> bool:
+        return self.reason is None
 
 
 # Replications are fitted in blocks of _block_size(n): a stacked n x n
@@ -242,7 +249,6 @@ def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
 
     records = []
     for row, rep in enumerate(rep_indices):
-        exists = fit.reason[row] is None
         stats = tuple(
             StatRecord(
                 pair_i=i,
@@ -254,13 +260,12 @@ def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
             )
             for kind, values, lengths in columns
             for col, (i, j) in enumerate(cfg.pairs)
-            if exists
+            if fit.reason[row] is None
         )
         records.append(
             RepRecord(
                 rep_index=rep,
                 epsilon=eps,
-                exists=exists,
                 reason=fit.reason[row],
                 iterations=int(fit.iterations[row]),
                 deviation_ok=bool(dev_ok[row]),

@@ -413,6 +413,31 @@ class TestSimulate:
         assert err.count("\n") == 0 and "DPGRAPH_THREADS" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed, alias", [(1, 2**64 + 1), (2**64 - 1, -1)])
+    def test_seed_aliases_modulo_2_64_are_usage_errors(self, tmp_path, capsys,
+                                                      seed, alias):
+        # the streams read the seed modulo 2^64, so the alias would repeat
+        # the seed's output; it is refused instead
+        args = ["simulate", "--n", "10", "--eps", "fixed:4", "--reps", "3",
+                "--pairs", "1,2"]
+        assert run_cli(*args, "--seed", str(seed),
+                       "--out", str(tmp_path / "a.csv")) == 0
+        capsys.readouterr()
+        assert run_cli(*args, "--seed", str(alias),
+                       "--out", str(tmp_path / "b.csv")) == 64
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "seed" in err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_degenerate_pair_is_usage_error(self, tmp_path, capsys):
+        args = ["simulate", "--n", "10", "--reps", "2", "--pairs", "3,3"]
+        out = tmp_path / "r.csv"
+        assert run_cli(*args, "--stats", "xi", "--out", str(out)) == 64
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "i != j" in err
+        assert not out.exists()
+        assert run_cli(*args, "--stats", "zeta", "--out", str(out)) == 0
+
     def test_stat_kind_selection(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--n", "30", "--eps", "fixed:6",

@@ -235,7 +235,14 @@ class TestPcgSolve:
                             model)
         jac = jacobian(theta, model)
         v = jac.matrix
-        step = estimator._pcg_solve(jac, b)
+        x, ok = estimator._pcg_block(
+            jac.v_diag[None],
+            np.array([jac.v_2n_2n]),
+            pairs._Pairs([pairs._DensePairs(jac.w[None])]),
+            b[None],
+        )
+        assert ok[0]
+        step = x[0]
         # the stopping rule bounds the recursive residual by 1e-12 max|b|;
         # allow the true one a factor 2 for rounding
         tol = 2e-12 * np.abs(b).max()
@@ -300,7 +307,7 @@ def assert_backends_agree(got, want, n, rng):
     the bound is a few times the compressed path's rounding floor, which
     is about 4e-15 n at n = 2000."""
     tol = 1e-14 * n
-    for a, b in zip(got.mu().bernoulli_sums([0]), want.mu().bernoulli_sums([0])):
+    for a, b in zip(got.mu().bernoulli().sums(), want.mu().bernoulli().sums()):
         np.testing.assert_allclose(a, b, rtol=0, atol=tol)
     for which in ("mu", "mu_prime"):
         g, w = getattr(got, which)(), getattr(want, which)()
@@ -410,7 +417,7 @@ class TestPairOperator:
         rng = np.random.default_rng(5)
         p = rng.standard_normal((len(widths), 2 * n - 1))
         tol = 1e-14 * n
-        bernoulli = op.mu().bernoulli_sums(np.arange(len(widths)))
+        bernoulli = op.mu().bernoulli().sums()
         for which in ("mu", "mu_prime"):
             got = getattr(op, which)()
             sums, q = got.sums(), np.empty_like(p)
@@ -418,7 +425,7 @@ class TestPairOperator:
             for r in range(len(widths)):
                 want = dense_backend(free[r], PROBIT)
                 if which == "mu":
-                    for a, b in zip(bernoulli, want.mu().bernoulli_sums([0])):
+                    for a, b in zip(bernoulli, want.mu().bernoulli().sums()):
                         np.testing.assert_allclose(a[r], b[0], rtol=0, atol=tol)
                 want = getattr(want, which)()
                 for a, b in zip(sums, want.sums()):
@@ -452,9 +459,10 @@ class TestPairOperator:
                 qa = np.empty((1, 2 * n - 1))
                 alone.products(p[r : r + 1], qa)
                 assert np.array_equal(q[r], qa[0])
-        bernoulli = op.mu().bernoulli_sums(np.array([2, 3]))
+        keep = np.array([False, False, True, True])
+        bernoulli = op.mu().take(keep).bernoulli().sums()
         for k, r in enumerate((2, 3)):
-            same_row(bernoulli, k, lone[r].mu().bernoulli_sums([0]))
+            same_row(bernoulli, k, lone[r].mu().bernoulli().sums())
         kept = op.mu_prime().take(np.array([False, True, True, True]))
         assert [r.tolist() for r in kept.rows] == [[1], [0, 2]]
         for k, r in enumerate((1, 2, 3)):
@@ -822,6 +830,12 @@ class TestStandardizedStats:
         with pytest.raises(DomainError):
             standardized_stats(fit, theta, [(fit.n - 1, fit.n)], kind="eta")
 
+    def test_truth_of_another_size_rejected(self):
+        _, fit = _fitted(n=20)
+        truth = linear_ramp_theta(30, 0.5)
+        with pytest.raises(DomainError, match="n=30"):
+            standardized_stats(fit, truth, [(1, 2)], kind="zeta")
+
     def test_nonexistent_fit_is_contract_error(self):
         n = 30
         z = np.full(n, 10.0)
@@ -874,6 +888,15 @@ class TestConfidenceInterval:
             ci = confidence_interval(fit, pair)
             truth = bumped.alpha[pair[0] - 1] - bumped.alpha[pair[1] - 1]
             assert (ci.lo <= truth <= ci.hi) == (abs(stat) <= 1.959963985)
+
+    def test_equal_indices_rejected_for_contrasts(self):
+        # alpha_3 - alpha_3 and beta_3 - beta_3 are identically 0;
+        # alpha_3 + beta_3 is a genuine parameter
+        _, fit = _fitted(n=10)
+        for kind in ("xi", "eta"):
+            with pytest.raises(DomainError, match="i != j"):
+                confidence_interval(fit, (3, 3), kind=kind)
+        assert confidence_interval(fit, (3, 3), kind="zeta").length > 0.0
 
     def test_level_validation(self):
         _, fit = _fitted(n=10)

@@ -208,6 +208,17 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             ExperimentConfig(n=20, stat_kinds=("tau",))
 
+    def test_equal_indices_rejected_for_contrasts(self):
+        for kind in ("xi", "eta"):
+            with pytest.raises(DomainError, match="i != j"):
+                ExperimentConfig(n=10, pairs=((3, 3),), stat_kinds=(kind,))
+        ExperimentConfig(n=10, pairs=((3, 3),), stat_kinds=("zeta",))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            ExperimentConfig(n=10, seed=seed)
+
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
             ExperimentConfig(n=3)
