@@ -151,12 +151,8 @@ def _json_epsilon(eps, path: str) -> float | None:
 def cmd_estimate(args) -> int:
     model = get_model(args.model)
     z_out, z_in, epsilon = _load_degree_input(args.input)
-    private = args.private or (epsilon is not None and not args.raw)
-    if private and epsilon is None:
-        raise DomainError("--private needs an input JSON carrying epsilon")
-
     z = (z_out, z_in)
-    if private:
+    if epsilon is not None and not args.raw:
         both = np.concatenate([z_out, z_in])
         if not np.all(np.isfinite(both)):
             raise NumericalFailure("non-finite degree input")
@@ -196,12 +192,11 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def cmd_simulate(args) -> int:
     pairs = tuple(_parse_pair(p) for p in args.pairs) if args.pairs else None
     kinds = tuple(args.stats.split(","))
-    reps = 10000 if args.full_paper_reps else args.reps
     cfg = ExperimentConfig(
         n=args.n,
         L_spec=args.L,
         eps_spec=args.eps,
-        reps=reps,
+        reps=args.reps,
         seed=args.seed,
         pairs=pairs,
         model=args.model,
@@ -337,17 +332,11 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="degrees JSON or edge-list path")
     p.add_argument("--model", default="probit", help="probit (default) or logit")
     p.add_argument("--out", required=True, help="output JSON path")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
+    p.add_argument(
         "--raw",
         action="store_true",
-        help="treat input as raw degrees (no privacy variance term)",
-    )
-    mode.add_argument(
-        "--private",
-        action="store_true",
-        help="require epsilon in the input JSON and include the noise "
-        "variance term (default when epsilon is present)",
+        help="treat input as raw degrees, even with an epsilon (no privacy "
+        "variance term); without it an input epsilon selects private mode",
     )
     p.set_defaults(func=cmd_estimate)
 
@@ -375,11 +364,11 @@ def build_parser() -> _Parser:
         default="fixed:2",
         help=f"epsilon schedule: {', '.join(EPS_SPECS)}",
     )
-    p.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
     p.add_argument(
-        "--full-paper-reps",
-        action="store_true",
-        help="run 10000 replications regardless of --reps",
+        "--reps",
+        type=int,
+        default=1000,
+        help="replications (default 1000; the paper's tables use 10000)",
     )
     p.add_argument(
         "--seed", type=int, default=0, help="master seed in [0, 2^64) (default 0)"
@@ -388,7 +377,8 @@ def build_parser() -> _Parser:
         "--pairs",
         action="append",
         metavar="I,J",
-        help="probe pair, repeatable; default (1,2), (n/2,n/2+1), (n-1,n)",
+        help="probe pair, repeatable; default (1,2), (n/2,n/2+1), (n-1,n), "
+        "with (n-2,n-1) in place of the last for zeta or eta",
     )
     p.add_argument(
         "--stats",

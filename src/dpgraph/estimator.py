@@ -47,6 +47,7 @@ or when the linear solve goes singular.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -61,24 +62,6 @@ from .graph import BiDegree, ParameterVector
 from .model import EdgeMeanModel, bounds_for
 from .pairs import _DensePairs, _pair_matrix, _Pairs, _pairs
 from .privacy import NoisyBiDegree, PrivacyParams
-
-__all__ = [
-    "JacobianMatrix",
-    "SApprox",
-    "FitResult",
-    "VarianceInputs",
-    "ConvergenceDiagnostics",
-    "CiResult",
-    "moment_residual",
-    "jacobian",
-    "build_s_approx",
-    "s_approx_error",
-    "newton_solve",
-    "convergence_diagnostics",
-    "variance_estimates",
-    "standardized_stats",
-    "confidence_interval",
-]
 
 STAT_KINDS = ("xi", "zeta", "eta")
 
@@ -119,13 +102,6 @@ def moment_residual(theta: ParameterVector, z, model: EdgeMeanModel) -> np.ndarr
         )
     expected, _ = _pairs(theta.to_free()[None], model).mu().sums()
     return np.concatenate([zout, zin[: n - 1]]) - expected[0]
-
-
-def _equation_sign(n: int) -> np.ndarray:
-    """+1 on out-equations, -1 on in-equations."""
-    sign = np.ones(2 * n - 1)
-    sign[n:] = -1.0
-    return sign
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,16 +163,32 @@ class SApprox:
     """Closed-form approximation to V^{-1} for the structured Jacobian.
 
     s_ij = delta_ij / v_ii + sigma_ij / v_{2n,2n}, where sigma is +1 when
-    i and j fall in the same equation block and -1 across blocks.
+    i and j fall in the same equation block and -1 across blocks.  diag
+    (..., 2n-1) holds the 1/v_ii and shared (...) the 1/v_{2n,2n}, stacked
+    one S per row; every Newton step applies it as its CG preconditioner.
     """
 
-    n: int
     diag: np.ndarray
-    shared: float
+    shared: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return (self.diag.shape[-1] + 1) // 2
+
+    @cached_property
+    def _sign(self) -> np.ndarray:
+        """+1 on out-equations, -1 on in-equations."""
+        sign = np.ones(2 * self.n - 1)
+        sign[self.n :] = -1.0
+        return sign
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """S r for every row of r (..., 2n-1)."""
+        shared = self.shared[..., None] * _rowdot(r, self._sign)[..., None]
+        return self.diag * r + shared * self._sign
 
     def materialize(self) -> np.ndarray:
-        sign = _equation_sign(self.n)
-        s = np.outer(sign, sign) * self.shared
+        s = np.outer(self._sign, self._sign) * self.shared
         s[np.diag_indices_from(s)] += self.diag
         return s
 
@@ -207,7 +199,7 @@ def build_s_approx(v: JacobianMatrix) -> SApprox:
     v2n = v.v_2n_2n
     if np.any(vd <= 0.0) or v2n <= 0.0:
         raise SingularSystemError("Jacobian has a nonpositive diagonal entry")
-    return SApprox(n=v.n, diag=1.0 / vd, shared=1.0 / v2n)
+    return SApprox(diag=1.0 / vd, shared=np.asarray(1.0 / v2n))
 
 
 def s_approx_error(v: JacobianMatrix) -> float:
@@ -248,22 +240,14 @@ def _pcg_block(
     that has converged is no longer updated, and every row's arithmetic is
     that of a lone solve.
     """
-    k, m = b.shape
-    n = (m + 1) // 2
-    sign = _equation_sign(n)
-    ok = np.all(v_diag > 0.0, axis=-1) & (v_2n_2n > 0.0) & np.ones(k, dtype=bool)
+    ok = np.all(v_diag > 0.0, axis=-1) & (v_2n_2n > 0.0) & np.ones(len(b), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s_diag = 1.0 / v_diag
-        s_shared = (1.0 / v_2n_2n)[:, None]
-
-        def precondition(r):
-            return s_diag * r + (s_shared * _rowdot(r, sign)[:, None]) * sign
-
+        s = SApprox(1.0 / v_diag, 1.0 / v_2n_2n)
         tol = _CG_RTOL * np.abs(b).max(axis=1)
         x = np.zeros_like(b)
         r = b.copy()
         q = np.empty_like(b)
-        z = precondition(r)
+        z = s.apply(r)
         p, rz = z, _rowdot(r, z)
         done = ~ok | (np.abs(r).max(axis=1) <= tol)
         for _ in range(_CG_MAX_ITER):
@@ -276,7 +260,7 @@ def _pcg_block(
             step = (rz / _rowdot(p, q))[:, None]
             np.add(x, step * p, out=x, where=live)
             np.subtract(r, step * q, out=r, where=live)
-            z = precondition(r)
+            z = s.apply(r)
             rz, rz_old = _rowdot(r, z), rz
             broke = ~done & ~np.isfinite(rz)
             ok &= ~broke
@@ -316,16 +300,12 @@ class FitResult:
     def exists(self) -> bool:
         return self.reason is None
 
-    @property
-    def converged(self) -> bool:
-        return self.exists
-
     def to_json_dict(self) -> dict:
         out = {
             "n": self.n,
             "model": self.model,
             "epsilon": self.epsilon,
-            "converged": self.converged,
+            "converged": self.exists,
             "exists": self.exists,
             "iterations": self.iterations,
             "residual_norm": self.residual_norm,

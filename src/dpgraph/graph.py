@@ -15,23 +15,17 @@ from .errors import DomainError, EdgeListParseError
 from .model import EdgeMeanModel
 from .pairs import _pair_matrix
 
-__all__ = [
-    "DirectedGraph",
-    "BiDegree",
-    "ParameterVector",
-    "sample_graph",
-    "degrees",
-    "expected_bidegree",
-    "parse_edge_list",
-    "to_edge_list_text",
-]
-
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Dense adjacency on n >= 2 nodes; entry [i, j] is the edge i -> j."""
+    """Dense adjacency on n >= 2 nodes; entry [i, j] is the edge i -> j.
+
+    A read-only bool array is held without a copy (an n x n adjacency may
+    be most of a run's memory), so its owner must not change it; any other
+    input is copied, and a caller's writeable array stays writeable.
+    """
 
     adjacency: np.ndarray
 
@@ -39,7 +33,7 @@ class DirectedGraph:
         raw = np.asarray(self.adjacency)
         if raw.dtype != bool and not np.isin(raw, (0, 1)).all():
             raise DomainError("adjacency entries must be 0/1 indicators")
-        adj = raw.astype(bool)
+        adj = raw if raw.dtype == bool and not raw.flags.writeable else raw.astype(bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DomainError("adjacency must be a square matrix")
         if adj.shape[0] < 2:
@@ -151,7 +145,9 @@ def _draw_graph(p: np.ndarray, rng: np.random.Generator) -> DirectedGraph:
     p must have a zero diagonal: random() < 0 never holds, so that alone
     excludes self-loops.
     """
-    return DirectedGraph(adjacency=rng.random(p.shape) < p)
+    adj = rng.random(p.shape) < p
+    adj.flags.writeable = False
+    return DirectedGraph(adjacency=adj)
 
 
 def sample_graph(
@@ -354,6 +350,7 @@ def _edge_graph(srcs, dsts, declared_n: int | None) -> DirectedGraph:
     duplicates = len(srcs) - np.count_nonzero(adj)
     if duplicates:
         logger.warning("collapsed %d duplicate edge(s)", duplicates)
+    adj.flags.writeable = False
     return DirectedGraph(adjacency=adj)
 
 

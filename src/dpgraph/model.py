@@ -39,18 +39,6 @@ from scipy.special import expit, ndtr
 
 from .errors import DomainError
 
-__all__ = [
-    "EdgeMeanModel",
-    "ModelBounds",
-    "PROBIT",
-    "LOGIT",
-    "get_model",
-    "probit_mu",
-    "probit_mu_prime",
-    "probit_mu_second",
-    "bounds_for",
-]
-
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 

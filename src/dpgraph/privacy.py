@@ -28,15 +28,6 @@ import numpy as np
 from .errors import DomainError
 from .graph import BiDegree, _int64_entries
 
-__all__ = [
-    "PrivacyParams",
-    "NoisyBiDegree",
-    "discrete_laplace_sample",
-    "discrete_laplace_pmf",
-    "privatize",
-    "deviation_bound",
-]
-
 SENSITIVITY = 2
 
 

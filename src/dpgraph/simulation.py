@@ -44,7 +44,7 @@ from .estimator import (
     _normal_quantile,
     _stat_indices,
 )
-from .graph import ParameterVector, _draw_graph, degrees, expected_bidegree
+from .graph import ParameterVector, _draw_graph, degrees
 from .model import get_model
 from .pairs import _pair_matrix
 from .privacy import PrivacyParams, deviation_bound, privatize
@@ -57,27 +57,7 @@ from .estimator import (  # noqa: F401  isort: skip
     standardized_stats,
     variance_estimates,
 )
-from .graph import sample_graph  # noqa: F401  isort: skip
-
-__all__ = [
-    "ExperimentConfig",
-    "StatRecord",
-    "RepRecord",
-    "CoverageRow",
-    "CoverageReport",
-    "ExperimentResult",
-    "L_SPECS",
-    "EPS_SPECS",
-    "derive_stream_seed",
-    "resolve_L",
-    "resolve_epsilon",
-    "default_pairs",
-    "make_true_params",
-    "run_replication",
-    "run_experiment",
-    "qq_export",
-    "qq_csv",
-]
+from .graph import expected_bidegree, sample_graph  # noqa: F401  isort: skip
 
 L_SPECS = ("zero", "loglogn", "sqrtlogn")
 EPS_SPECS = ("fixed:<value>", "logn_n14", "logn_n12")
@@ -123,9 +103,12 @@ def resolve_epsilon(eps_spec: str, n: int) -> float:
     raise DomainError(f"unknown epsilon spec {eps_spec!r}; allowed: {EPS_SPECS}")
 
 
-def default_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The three probe pairs (1,2), (n/2, n/2+1), (n-1, n)."""
-    return ((1, 2), (n // 2, n // 2 + 1), (n - 1, n))
+def default_pairs(n: int, kinds=("xi",)) -> tuple[tuple[int, int], ...]:
+    """The probe pairs (1,2), (n/2, n/2+1), (n-1, n).  zeta and eta need
+    j <= n-1 (beta_n is pinned), so with either among kinds (n-2, n-1)
+    replaces (n-1, n); at n = 4 it repeats the middle pair and goes."""
+    last = (n - 1, n) if set(kinds) <= {"xi"} else (n - 2, n - 1)
+    return tuple(dict.fromkeys(((1, 2), (n // 2, n // 2 + 1), last)))
 
 
 def make_true_params(n: int, L_spec: str) -> ParameterVector:
@@ -166,7 +149,7 @@ class ExperimentConfig:
         resolve_epsilon(self.eps_spec, self.n)
         get_model(self.model)
         if self.pairs is None:
-            object.__setattr__(self, "pairs", default_pairs(self.n))
+            object.__setattr__(self, "pairs", default_pairs(self.n, self.stat_kinds))
         if not self.pairs or not self.stat_kinds:
             raise DomainError("need at least one pair and one statistic kind")
         for kind in self.stat_kinds:
@@ -224,7 +207,7 @@ def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
     theta_star = make_true_params(n, cfg.L_spec)
     eps = resolve_epsilon(cfg.eps_spec, n)
     p_star = _pair_matrix(theta_star, model.mu)
-    exp_out, exp_in = expected_bidegree(theta_star, model)
+    exp_out, exp_in = p_star.sum(axis=1), p_star.sum(axis=0)
 
     zout = np.empty((len(rep_indices), n))
     zin = np.empty((len(rep_indices), n))

@@ -1,6 +1,8 @@
 """Command-line behavior: schemas, exit codes, reproducibility."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpgraph import ParameterVector, PROBIT, expected_bidegree
-from dpgraph.cli import STATS_DUMP_HEADER, main
+from dpgraph.cli import STATS_DUMP_HEADER, build_parser, main
 
 # any JSON value: scalars of every JSON type, and lists and objects of them
 JSON_VALUES = st.recursive(
@@ -63,6 +65,11 @@ FUZZ_SETTINGS = settings(
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def assert_one_line_error(capsys, text: str) -> None:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and text in err and "Traceback" not in err
 
 
 @pytest.fixture()
@@ -136,6 +143,14 @@ class TestPrivatize:
                        "--out", str(tmp_path / "o.json"))
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_bad_node_count_header_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("n=abc\n1 2\n")
+        code = run_cli("privatize", str(bad), "--epsilon", "1",
+                       "--out", str(tmp_path / "o.json"))
+        assert code == 1
+        assert_one_line_error(capsys, "line 1: bad node-count header")
 
     def test_node_count_too_large_to_hold_exits_1(self, tmp_path, capsys):
         # n = 10^8 asks for 10^16 adjacency bytes, more than a 64-bit
@@ -231,13 +246,23 @@ class TestEstimate:
                        "--out", str(tmp_path / "fit.json"))
         assert code == 3
 
-    def test_private_mode_requires_epsilon(self, tmp_path):
+    def test_truncated_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "deg.json"
-        path.write_text(json.dumps({"n": 4, "z_out": [1, 1, 2, 1],
+        path.write_text('{"n": 4, "z_out": [1, 1, 2')
+        code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        assert_one_line_error(capsys, "bad JSON input")
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_vectors_not_matching_n_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"n": 5, "z_out": [1, 1, 2, 1],
                                     "z_in": [1, 2, 1, 1]}))
-        code = run_cli("estimate", str(path), "--private",
+        code = run_cli("estimate", str(path), "--raw",
                        "--out", str(tmp_path / "fit.json"))
-        assert code == 64
+        assert code == 1
+        assert_one_line_error(capsys, "do not match n=5")
+        assert not (tmp_path / "fit.json").exists()
 
     def test_non_integer_private_degrees_rejected(self, tmp_path, capsys):
         path = tmp_path / "deg.json"
@@ -316,7 +341,7 @@ class TestEstimate:
         degrees=st.lists(DEGREE_NUMBERS, min_size=8, max_size=8),
         junk=st.none() | st.tuples(st.integers(0, 7), JSON_VALUES),
         epsilon=st.sampled_from([None, 2.0]),
-        mode=st.sampled_from([[], ["--raw"], ["--private"]]),
+        mode=st.sampled_from([[], ["--raw"]]),
     )
     def test_arbitrary_degree_entries_end_in_a_documented_exit(
         self, tmp_path, capsys, degrees, junk, epsilon, mode
@@ -402,6 +427,19 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_threads_0_matches_one_worker(self, tmp_path, monkeypatch):
+        # 0 means one worker per CPU; two CPUs keep the pool small
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        outs = []
+        for workers in ("1", "0"):
+            monkeypatch.setenv("DPGRAPH_THREADS", workers)
+            out = tmp_path / f"w{workers}.csv"
+            assert run_cli("simulate", "--n", "24", "--eps", "fixed:4",
+                           "--reps", "8", "--seed", "3", "--pairs", "1,2",
+                           "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("workers", ["-2", "two"])
     def test_bad_worker_count_is_usage_error(self, tmp_path, monkeypatch, capsys,
                                              workers):
@@ -438,6 +476,20 @@ class TestSimulate:
         assert not out.exists()
         assert run_cli(*args, "--stats", "zeta", "--out", str(out)) == 0
 
+    def test_pair_without_comma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--n", "10", "--reps", "2", "--pairs", "1",
+                       "--out", str(out)) == 64
+        assert_one_line_error(capsys, "pair must be 'i,j'")
+        assert not out.exists()
+
+    def test_default_pairs_serve_every_kind(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--n", "20", "--eps", "fixed:6", "--reps", "2",
+                       "--seed", "9", "--stats", "xi,zeta,eta",
+                       "--out", str(out)) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 9
+
     def test_stat_kind_selection(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--n", "30", "--eps", "fixed:6",
@@ -446,13 +498,6 @@ class TestSimulate:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3
         assert ",xi," in lines[1] and ",eta," in lines[2]
-
-    def test_full_paper_reps_flag(self, tmp_path):
-        out = tmp_path / "full.csv"
-        assert run_cli("simulate", "--n", "4", "--eps", "fixed:2",
-                       "--reps", "3", "--full-paper-reps", "--seed", "1",
-                       "--pairs", "1,2", "--out", str(out)) == 0
-        assert out.read_text().strip().split("\n")[1].endswith(",10000")
 
     def test_stdout_when_no_out_path(self, capsys):
         assert run_cli("simulate", "--n", "20", "--eps", "fixed:6",
@@ -530,6 +575,14 @@ class TestQq:
         assert err.count("\n") == 1
         assert "dump.csv" in err and "line 3" in err
 
+    def test_pair_absent_from_dump_is_usage_error(self, tmp_path, capsys):
+        dump = tmp_path / "stats.csv"
+        dump.write_text(f"{STATS_DUMP_HEADER}\n0,1,2,xi,0.5\n1,1,2,xi,-0.1\n")
+        out = tmp_path / "qq.csv"
+        assert run_cli("qq", str(dump), "--pair", "3,4", "--out", str(out)) == 64
+        assert_one_line_error(capsys, "no statistics match")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "selection",
         [["--pair", "7,9", "--kind", "zeta"], ["--pair", "1,2"], ["--kind", "xi"]],
@@ -593,6 +646,19 @@ class TestUsage:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{bad} is not UTF-8 text" in err
         assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        # a README that names a removed flag fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True)
+                    for line in block.splitlines() if line.startswith("dpgraph ")]
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
+        assert {argv[1] for argv in commands} == {"privatize", "estimate",
+                                                  "simulate", "qq"}
 
     def test_pipeline_end_to_end_reproducible(self, small_edge_list, tmp_path):
         fits = []

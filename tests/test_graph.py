@@ -1,6 +1,7 @@
 """Graphs, degrees, sampling, and edge-list round trips."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ class TestDirectedGraph:
         g = DirectedGraph(adjacency=np.zeros((3, 3), dtype=bool))
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = True
+
+    def test_read_only_bool_input_is_held_without_copy(self):
+        adj = np.zeros((4, 4), dtype=bool)
+        adj.flags.writeable = False
+        assert np.shares_memory(DirectedGraph(adjacency=adj).adjacency, adj)
+
+    def test_writeable_input_is_copied_and_stays_writeable(self):
+        adj = np.zeros((4, 4), dtype=bool)
+        g = DirectedGraph(adjacency=adj)
+        assert not np.shares_memory(g.adjacency, adj)
+        adj[0, 1] = True
+        assert g.edge_count == 0
 
 
 class TestDegrees:
@@ -290,6 +303,17 @@ class TestEdgeListParsing:
         g = parse_edge_list("# a comment\nn=5\n1 2\n\n2 1\n")
         assert g.n == 5
         assert g.edge_count == 2
+
+    def test_parse_holds_one_adjacency(self):
+        # the parsed n x n bool matrix goes to the graph without a copy
+        n = 3000
+        tracemalloc.start()
+        try:
+            parse_edge_list(f"n={n}\n1 2\n2 3\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n
 
     def test_header_only_gives_isolated_nodes(self, caplog):
         with caplog.at_level(logging.WARNING, logger="dpgraph.graph"):

@@ -77,6 +77,11 @@ class TestSchedules:
     def test_default_pairs(self):
         assert default_pairs(100) == ((1, 2), (50, 51), (99, 100))
 
+    def test_default_pairs_for_beta_kinds(self):
+        # beta_n is pinned, so zeta and eta take (n-2, n-1) as the last pair
+        assert default_pairs(100, ("xi", "eta")) == ((1, 2), (50, 51), (98, 99))
+        assert default_pairs(4, ("zeta",)) == ((1, 2), (2, 3))
+
 
 class TestStreamDerivation:
     def test_deterministic_and_distinct(self):
