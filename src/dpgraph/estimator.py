@@ -422,12 +422,14 @@ def _newton_block(
         if live.size == 0:
             break
 
-        # the new strength sums are built before the old mu' matrices go,
-        # and dropped once the new ones exist: then at most one n x n block
-        # is free at a time, which the allocator reuses instead of handing
-        # it back to the system (the anchor cell took 3x the page faults
-        # and 0.2 s more when both went at once)
-        pairs = _pairs(free_l, model)
+        # the new operator is built before the old mu' one goes: its
+        # compressed L^T overwrites the old one's buffer, so a block holds
+        # one L^T stack, and its dense strength sums exist before the old mu'
+        # matrices are dropped, so at most one n x n block is free at a
+        # time, which the allocator reuses instead of handing it back to the
+        # system (the anchor cell took 3x the page faults and 0.2 s more on
+        # the dense backend when both went at once)
+        pairs = _pairs(free_l, model, w.buf)
         w = None
         mu = pairs.mu()
         resid = used[live] - mu.sums()[0]
@@ -435,10 +437,11 @@ def _newton_block(
             raise NumericalFailure(f"non-finite residual at iteration {it}")
         finish(live[conv], None, it, resid[conv], free_l[conv])
         if conv.any():
-            sums[0][live[conv]], sums[1][live[conv]] = mu.take(conv).bernoulli().sums()
+            u_diag, u_2n_2n = mu.bernoulli().sums()
+            sums[0][live[conv]], sums[1][live[conv]] = u_diag[conv], u_2n_2n[conv]
         mu = None
         # mu' on every row: the next system of the rows that step again, and
-        # the variance sums of the converged ones
+        # the variance sums of the converged ones, which then leave it
         w = pairs.mu_prime()
         v_diag, v_2n_2n = w.sums()
         sums[2][live[conv]], sums[3][live[conv]] = v_diag[conv], v_2n_2n[conv]

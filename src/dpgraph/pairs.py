@@ -16,16 +16,26 @@ two stacks, one per backend:
   time and memory, and p^2 evaluations of f, for all rows of the stack
   at once.
 
-Below _DENSE_BELOW nodes every row is dense: on harness blocks of
-_block_size(n) rows (2-vCPU VM, 1 BLAS thread) a block takes 16.3 ms dense
-and 16.5 ms compressed at n = 64, 14.4 ms and 10.3 ms at n = 96.  From
-there a row is compressed unless the last two Chebyshev coefficients per
-axis of its mu, mu' or mu(1-mu) grid exceed _CHEB_TAIL of the largest
-coefficient (a box too wide for the nodes, such as an iterate near the
-divergence guard).  Resolved grids read 2e-15 to 1e-14, from rounding, and
-rows that pass lie within 1e-11 of the dense sums at n = 2000.  A row's
-backend depends only on n and its own box, and a stacked product is one
-BLAS call per row, so a row's floats do not depend on the other rows.
+Below _DENSE_BELOW nodes every row is dense.  On the harness's blocks
+(simulation._block_size: 2^17 // n^2 dense rows, or as many compressed
+rows as its footprint budget holds), on a 2-vCPU VM with 1 BLAS thread,
+an anchor-style fit takes 0.72 ms a row dense and 0.68 ms compressed at
+n = 64, 1.05 and 0.75 ms at n = 80, 1.40 and 0.78 ms at n = 96.  So the
+compressed form would pay below 96 too, but moving _DENSE_BELOW changes
+the floats of every cell it passes.  From there a row is compressed
+unless the last two Chebyshev coefficients per axis of its mu, mu' or
+mu(1-mu) grid exceed _CHEB_TAIL of the largest coefficient (a box too
+wide for the nodes, such as an iterate near the divergence guard); such
+rows go dense, in stacks of at most _DENSE_ELEMENTS floats per array.
+Resolved grids read 2e-15 to 1e-14, from rounding, and rows that pass lie
+within 1e-11 of the dense sums at n = 2000.  A row's backend depends only
+on n and its own box, and a stacked product is one BLAS call per row, so
+a row's floats do not depend on the other rows.
+
+A block holds one compressed stack: each iterate's L^T and grids are
+written into the buffers of the operator they replace (_Pairs.buf), and
+rows that stop leave by in-place compaction (_compact), which copies
+whole rows and so keeps their floats.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ from .model import EdgeMeanModel
 _CHEB_NODES = 32
 _CHEB_TAIL = 1e-13
 _DENSE_BELOW = 3 * _CHEB_NODES
+# a dense stack holds at most this many pair-matrix floats (1 MB) per array
+_DENSE_ELEMENTS = 1 << 17
 
 
 def _strength_sums(free: np.ndarray) -> np.ndarray:
@@ -69,16 +81,18 @@ _CHEB_DCT = np.cos(np.outer(np.arange(_CHEB_NODES), _CHEB_ANGLES)) * (2.0 / _CHE
 _CHEB_DCT[0] /= 2.0
 
 
-def _barycentric(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _barycentric(
+    x: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(L^T, nodes) for stacked points x (..., n): the Chebyshev nodes over
     each [min x, max x] (..., p), and the transposes (..., p, n) of the
-    matrices that interpolate values at the nodes to the points x.  A point
-    on a node gets a one-hot row of L; so does every point of a box of zero
-    width, whose nodes coincide."""
+    matrices that interpolate values at the nodes to the points x, written
+    into out when given.  A point on a node gets a one-hot row of L; so does
+    every point of a box of zero width, whose nodes coincide."""
     lo, hi = x.min(axis=-1, keepdims=True), x.max(axis=-1, keepdims=True)
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
     with np.errstate(divide="ignore", invalid="ignore"):
-        lt = np.subtract(x[..., None, :], nodes[..., :, None])
+        lt = np.subtract(x[..., None, :], nodes[..., :, None], out=out)
         np.divide(_CHEB_W[:, None], lt, out=lt)
         # the weights' sum is finite unless the point lies on a node
         total = lt.sum(axis=-2, keepdims=True)
@@ -109,6 +123,16 @@ def _cheb_resolved(c: np.ndarray) -> np.ndarray:
         coef = np.abs(_CHEB_DCT @ c[left] @ _CHEB_DCT.T)
         resolved[left] = tail[left] <= _CHEB_TAIL * coef.max(axis=(-2, -1))
     return resolved
+
+
+def _compact(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] for ascending row indices, in place: row rows[d] moves to slot
+    d <= rows[d] of a, and the first rows.size slots are returned as a view.
+    Each row is copied whole, so its floats are unchanged."""
+    for d, s in enumerate(rows):
+        if d != s:
+            a[d] = a[s]
+    return a[: rows.size]
 
 
 def _vecmat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -144,7 +168,7 @@ class _DensePairs:
         np.matmul(p[:, None, :n], cross, out=out[:, None, n:])
 
     def take(self, rows: np.ndarray) -> "_DensePairs":
-        return _DensePairs(self.m[rows])
+        return _DensePairs(_compact(self.m, rows))
 
 
 class _DenseIterate:
@@ -165,7 +189,7 @@ class _ChebPairs:
     exact.  lt[:, 0] holds L_a^T and lt[:, 1] L_b^T, and ones their row
     sums L_a^T 1 and L_b^T 1.  Every product is a stacked matmul, one BLAS
     call per row, so a row's floats do not depend on how many rows share
-    the stack."""
+    the stack.  The mu and mu' stacks of one iterate share lt and ones."""
 
     def __init__(self, lt, ones, c, d):
         self.lt, self.ones, self.c, self.d = lt, ones, c, d
@@ -190,28 +214,44 @@ class _ChebPairs:
         out[:, n:] -= d * p[:, : n - 1]
 
     def take(self, rows: np.ndarray) -> "_ChebPairs":
-        return _ChebPairs(self.lt[rows], self.ones[rows], self.c[rows], self.d[rows])
+        arrays = (self.lt, self.ones, self.c, self.d)
+        return _ChebPairs(*(_compact(a, rows) for a in arrays))
 
 
-def _cheb_iterate(free: np.ndarray, fns) -> tuple[np.ndarray, tuple]:
-    """(resolved, (mu, mu')): the compressed stacks of stacked free
-    coordinates, and the mask of rows whose mu, mu' and mu(1-mu) grids
-    _CHEB_NODES nodes resolve.  Both stacks are built up front, because
-    their grids' tails decide the backend."""
-    n = (free.shape[-1] + 1) // 2
-    ab = np.zeros((free.shape[0], 2, n))
+def _cheb_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Room for the compressed stacks of the given number of rows: L^T
+    (rows, 2, p, n) and the mu, mu' and mu(1-mu) grids (3, rows, p, p)."""
+    p = _CHEB_NODES
+    return np.empty((rows, 2, p, n)), np.empty((3, rows, p, p))
+
+
+def _cheb_iterate(free: np.ndarray, fns, buf=None) -> tuple[np.ndarray, tuple]:
+    """(resolved, (mu, mu')): the mask of the rows of stacked free
+    coordinates whose mu, mu' and mu(1-mu) grids _CHEB_NODES nodes resolve,
+    and the compressed stacks of those rows, written into the front of the
+    buffers buf from _cheb_buffers (fresh ones when None).  Both stacks are
+    built up front, because their grids' tails decide the backend."""
+    R, n = free.shape[0], (free.shape[-1] + 1) // 2
+    if buf is None:
+        buf = _cheb_buffers(R, n)
+    ab = np.zeros((R, 2, n))
     ab[:, 0] = free[:, :n]
     ab[:, 1, : n - 1] = free[:, n:]
-    lt, nodes = _barycentric(ab)
-    grid = nodes[:, 0, :, None] + nodes[:, 1, None, :]
-    # the mu, mu' and mu(1-mu) grids, filled into one array for the tail check
-    grids = np.empty((3,) + grid.shape)
+    lt, nodes = _barycentric(ab, buf[0][:R])
+    # the mu, mu' and mu(1-mu) grids, filled into one array for the tail
+    # check; the third slot holds the node sums until mu and mu' are filled
+    grids = buf[1][:, :R]
+    grid = np.add(nodes[:, 0, :, None], nodes[:, 1, None, :], out=grids[2])
     for k, fn in enumerate(fns):
         grids[k] = fn(grid)
     np.subtract(1.0, grids[0], out=grids[2])
     grids[2] *= grids[0]
     resolved = _cheb_resolved(grids).all(axis=0)
-    ones, diag = lt.sum(axis=-1), ab[:, 0] + ab[:, 1]
+    diag = ab[:, 0] + ab[:, 1]
+    if not resolved.all():
+        narrow = np.flatnonzero(resolved)
+        lt, grids, diag = _compact(lt, narrow), grids[:, narrow], diag[narrow]
+    ones = lt.sum(axis=-1)
     return resolved, tuple(
         _ChebPairs(lt, ones, grids[k], np.asarray(fn(diag), dtype=float))
         for k, fn in enumerate(fns)
@@ -220,32 +260,35 @@ def _cheb_iterate(free: np.ndarray, fns) -> tuple[np.ndarray, tuple]:
 
 class _Pairs:
     """Pair matrices with zero diagonal for stacked rows, held in at most
-    two stacks, compressed and dense.  A lone stack serves every row (and a
-    stack with one row is shared by every row it is applied to); otherwise
-    stack k serves the rows rows[k], in ascending order.
+    one compressed stack and some dense ones.  A lone stack serves every
+    row (and a stack with one row is shared by every row it is applied to);
+    otherwise stack k serves the rows rows[k], in ascending order.  buf holds
+    the buffers the compressed stack lives in (None below _DENSE_BELOW),
+    which the next iterate's operator may overwrite.
 
     At an iterate, mu() and mu_prime() give the pair matrices of mu and mu';
     those give sums() (equation sums and boundary sum), bernoulli() (the
     pair matrices of mu(1-mu), from those of mu), take(keep) (a subset of
-    the rows) and products(p, out) (the two cross-block products
+    the rows, compacted in place, which spends the other operators of the
+    iterate) and products(p, out) (the two cross-block products
     W[:, :n-1] p_b and p_a W[:, :n-1] per row).
     """
 
-    def __init__(self, stacks: list, rows: list | None = None):
-        self.stacks, self.rows = stacks, rows
+    def __init__(self, stacks: list, rows: list | None = None, buf=None):
+        self.stacks, self.rows, self.buf = stacks, rows, buf
 
     def mu(self) -> "_Pairs":
-        return _Pairs([stack[0] for stack in self.stacks], self.rows)
+        return _Pairs([stack[0] for stack in self.stacks], self.rows, self.buf)
 
     def mu_prime(self) -> "_Pairs":
-        return _Pairs([stack[1] for stack in self.stacks], self.rows)
+        return _Pairs([stack[1] for stack in self.stacks], self.rows, self.buf)
 
     def take(self, keep: np.ndarray) -> "_Pairs":
         """The rows where the boolean mask keep holds."""
         if keep.all():
             return self
         if self.rows is None:
-            return _Pairs([self.stacks[0].take(np.flatnonzero(keep))])
+            return _Pairs([self.stacks[0].take(np.flatnonzero(keep))], None, self.buf)
         renumber = np.cumsum(keep) - 1
         stacks, rows = [], []
         for stack, r in zip(self.stacks, self.rows):
@@ -253,7 +296,7 @@ class _Pairs:
             if mine.any():
                 stacks.append(stack.take(np.flatnonzero(mine)))
                 rows.append(renumber[r[mine]])
-        return _Pairs(stacks, rows if len(stacks) > 1 else None)
+        return _Pairs(stacks, rows if len(stacks) > 1 else None, self.buf)
 
     def bernoulli(self) -> "_Pairs":
         return _Pairs([stack.bernoulli() for stack in self.stacks], self.rows)
@@ -282,20 +325,25 @@ class _Pairs:
             out[r] = q
 
 
-def _pairs(free: np.ndarray, model: EdgeMeanModel) -> _Pairs:
+def _pairs(free: np.ndarray, model: EdgeMeanModel, buf=None) -> _Pairs:
     """The pair operator at stacked free coordinates: dense below
     _DENSE_BELOW nodes, else compressed on the rows whose box allows it and
-    dense on the others."""
+    dense on the others, in stacks of at most _DENSE_ELEMENTS floats per
+    n x n array.  The compressed stacks are written into the buffers buf
+    if they have the rows."""
     fns = (model.mu, model.mu_prime)
-    n = (free.shape[-1] + 1) // 2
+    R, n = free.shape[0], (free.shape[-1] + 1) // 2
     if n < _DENSE_BELOW:
         return _Pairs([_DenseIterate(free, fns)])
-    resolved, cheb = _cheb_iterate(free, fns)
+    if buf is None or len(buf[0]) < R:
+        buf = _cheb_buffers(R, n)
+    resolved, cheb = _cheb_iterate(free, fns, buf)
     if resolved.all():
-        return _Pairs([cheb])
+        return _Pairs([cheb], None, buf)
     wide = np.flatnonzero(~resolved)
-    dense = _DenseIterate(free[wide], fns)
-    if wide.size == resolved.size:
-        return _Pairs([dense])
-    narrow = np.flatnonzero(resolved)
-    return _Pairs([tuple(c.take(narrow) for c in cheb), dense], [narrow, wide])
+    size = max(1, _DENSE_ELEMENTS // (n * n))
+    rows = [wide[k : k + size] for k in range(0, wide.size, size)]
+    stacks = [_DenseIterate(free[r], fns) for r in rows]
+    if wide.size < R:
+        stacks, rows = [cheb, *stacks], [np.flatnonzero(resolved), *rows]
+    return _Pairs(stacks, rows if len(stacks) > 1 else None, buf)

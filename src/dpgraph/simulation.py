@@ -11,16 +11,19 @@ so alpha*_1 = L down to alpha*_n = 0, with beta* = alpha* except the
 pinned beta*_n = 0.  L and epsilon are named schedules resolved against n
 (natural logarithms throughout).
 
-Replications run in blocks of _block_size(n).  Within a block each
-replication still samples its graph and its noise on its own stream, in
-the order a lone replication would; then the whole block is fitted by one
-stacked Newton solve (estimator._newton_block, of which newton_solve is
-the one-row case), and the variances, statistics and intervals are
-vectorized over the block.  The stacked solve never mixes rows: its work
-is elementwise, reductions within each row's own arrays and one BLAS call
-per row, and a stopped row is frozen.  So a replication's output does not
-depend on the block size, on its block-mates or on the worker count that
-ran its block.
+Replications run in blocks of _block_size(n) rows, sized by what a block
+of the fit holds: its dense n x n pair arrays below pairs._DENSE_BELOW
+nodes, its compressed rows (O(32 n) floats each) from there; with several
+workers a block has at most ceil(reps / workers) rows, so each worker gets
+one.  Within a block each replication still samples its graph and its
+noise on its own stream, in the order a lone replication would; then the
+whole block is fitted by one stacked Newton solve
+(estimator._newton_block, of which newton_solve is the one-row case), and
+the variances, statistics and intervals are vectorized over the block.
+The stacked solve never mixes rows: its work is elementwise, reductions
+within each row's own arrays and one BLAS call per row, and a stopped row
+is frozen.  So a replication's output does not depend on the block size,
+on its block-mates or on the worker count that ran its block.
 
 Coverage and interval lengths are tallied only over replications where the
 estimate exists; the non-existence frequency is reported separately.
@@ -46,7 +49,7 @@ from .estimator import (
 )
 from .graph import ParameterVector, _draw_graph, degrees
 from .model import get_model
-from .pairs import _pair_matrix
+from .pairs import _CHEB_NODES, _DENSE_BELOW, _DENSE_ELEMENTS, _pair_matrix
 from .privacy import PrivacyParams, deviation_bound, privatize
 
 # The harness runs its own stacked path, but these names stay importable
@@ -181,17 +184,32 @@ class RepRecord:
         return self.reason is None
 
 
-# Replications are fitted in blocks of _block_size(n): a stacked n x n
-# pair array of the Newton core then holds at most _BLOCK_ELEMENTS floats
-# (1 MB), which bounds the harness's extra memory whatever n is.  Such
-# arrays exist only for the rows the pair operator keeps dense (every row
-# below pairs._DENSE_BELOW, and rows whose box is too wide); a compressed
-# row holds O(32 n) floats.
-_BLOCK_ELEMENTS = 1 << 17
+# Replications are fitted in blocks of _block_size(n) rows, sized by what a
+# block of the Newton core holds, which bounds the harness's extra memory
+# whatever n is.  Below pairs._DENSE_BELOW every row is dense, and a block's
+# stacked n x n pair arrays hold at most pairs._DENSE_ELEMENTS floats (1 MB)
+# each.  From there a row is compressed: it holds its L^T (2 p n floats,
+# p = pairs._CHEB_NODES) and its three p x p grids, and a block at most
+# _CHEB_BLOCK_FLOATS of those (2 MB: 27 rows at n = 100, 16 at n = 200, 3
+# at n = 1000).  The rows whose box is too wide go dense, in stacks whose
+# arrays again hold at most pairs._DENSE_ELEMENTS floats.
+_CHEB_BLOCK_FLOATS = 1 << 18
 
 
 def _block_size(n: int) -> int:
-    return max(1, _BLOCK_ELEMENTS // (n * n))
+    if n < _DENSE_BELOW:
+        return max(1, _DENSE_ELEMENTS // (n * n))
+    p = _CHEB_NODES
+    return max(1, _CHEB_BLOCK_FLOATS // (2 * p * n + 3 * p * p))
+
+
+def _blocks(cfg: ExperimentConfig, workers: int) -> list[range]:
+    """The replications' blocks: of _block_size(n) rows, and with several
+    workers at most ceil(reps / workers), so that every worker gets one."""
+    size = _block_size(cfg.n)
+    if workers > 1:
+        size = min(size, -(-cfg.reps // workers))
+    return [range(b, min(b + size, cfg.reps)) for b in range(0, cfg.reps, size)]
 
 
 def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
@@ -324,16 +342,15 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications and aggregate the coverage table.
 
-    Replications run in blocks of _block_size(n); workers > 1 fans the
-    blocks out to a process pool, and workers = 0 means one worker per CPU.
-    Aggregation sorts by rep_index, so the result is bit-identical for any
-    worker count and block size.
+    Replications run in the blocks of _blocks; workers > 1 fans them out to
+    a process pool, and workers = 0 means one worker per CPU.  Aggregation
+    sorts by rep_index, so the result is bit-identical for any worker count
+    and block size.
     """
     start = time.perf_counter()
     if workers == 0:
         workers = os.cpu_count() or 1
-    size = _block_size(cfg.n)
-    blocks = [range(b, min(b + size, cfg.reps)) for b in range(0, cfg.reps, size)]
+    blocks = _blocks(cfg, workers)
     if workers <= 1:
         done = [_run_block(cfg, block) for block in blocks]
     else:

@@ -463,6 +463,9 @@ class TestPairOperator:
         bernoulli = op.mu().take(keep).bernoulli().sums()
         for k, r in enumerate((2, 3)):
             same_row(bernoulli, k, lone[r].mu().bernoulli().sums())
+        # take compacts the stacks in place, spending the other operators
+        # of the iterate, so the mu' rows are taken from a fresh one
+        op = pairs._pairs(free, PROBIT)
         kept = op.mu_prime().take(np.array([False, True, True, True]))
         assert [r.tolist() for r in kept.rows] == [[1], [0, 2]]
         for k, r in enumerate((1, 2, 3)):

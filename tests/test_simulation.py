@@ -1,6 +1,7 @@
 """Replication harness: determinism, aggregation, schedules, QQ export."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,9 +261,7 @@ class TestBlockInvariance:
     depend on the block size, on its block-mates or on the worker count."""
 
     def _outputs(self, tmp_path, monkeypatch, tag, block, workers, args=MIXED_ARGS):
-        n = int(args[args.index("--n") + 1])
-        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block * n * n)
-        assert simulation._block_size(n) == block
+        monkeypatch.setattr(simulation, "_block_size", lambda n: block)
         monkeypatch.setenv("DPGRAPH_THREADS", str(workers))
         out, dump = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.stats"
         assert main(args + ["--out", str(out), "--dump-stats", str(dump)]) == 0
@@ -275,14 +274,36 @@ class TestBlockInvariance:
 
     def test_compressed_cell_ignores_block_size_and_workers(self, tmp_path, monkeypatch):
         assert pairs._DENSE_BELOW <= 100
+        default = simulation._block_size(100)
         first = self._outputs(tmp_path, monkeypatch, "c1", 1, 1, ANCHOR_ARGS)
-        for tag, block, workers in (("c13", 13, 1), ("c64", 64, 1), ("c13w2", 13, 2)):
+        for tag, block, workers in (("c13", 13, 1), ("c64", 64, 1), ("c13w2", 13, 2),
+                                    ("cdef", default, 1), ("cdefw2", default, 2)):
             assert first == self._outputs(tmp_path, monkeypatch, tag, block, workers,
                                           ANCHOR_ARGS)
 
+    def test_wide_rows_in_several_dense_stacks(self, tmp_path, monkeypatch):
+        # with no tail allowed every row's box counts as too wide, so the
+        # anchor rows go dense, in stacks of 2^17 // n^2 = 13 rows at n = 100
+        monkeypatch.setattr(pairs, "_CHEB_TAIL", 0.0)
+        dense_stacks = []
+        build = estimator._pairs
+
+        def spy(free, model, buf=None):
+            op = build(free, model, buf)
+            dense = [s for s in op.stacks if isinstance(s, pairs._DenseIterate)]
+            dense_stacks.append(len(dense))
+            return op
+
+        monkeypatch.setattr(estimator, "_pairs", spy)
+        first = self._outputs(tmp_path, monkeypatch, "w1", 1, 1, ANCHOR_ARGS)
+        assert max(dense_stacks) == 1
+        dense_stacks.clear()
+        assert first == self._outputs(tmp_path, monkeypatch, "w30", 30, 1, ANCHOR_ARGS)
+        assert max(dense_stacks) == 3
+
     def test_each_replication_matches_a_lone_fit(self, monkeypatch):
         cfg = ExperimentConfig(**MIXED)
-        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 32 * cfg.n * cfg.n)
+        monkeypatch.setattr(simulation, "_block_size", lambda n: 32)
         records = run_experiment(cfg).records
         theta_star = make_true_params(cfg.n, cfg.L_spec)
         reasons = set()
@@ -336,8 +357,8 @@ class TestBlockInvariance:
         split = []
         build = estimator._pairs
 
-        def spy(free, model):
-            op = build(free, model)
+        def spy(free, model, buf=None):
+            op = build(free, model, buf)
             split.append(op.rows is not None)  # a compressed and a dense stack
             return op
 
@@ -377,6 +398,44 @@ class TestBlockInvariance:
             assert np.array_equal(got[1], want[0])
         fit = newton_solve(mild, get_model("probit"))
         assert np.array_equal(mixed.free[1], fit.theta.to_free())
+
+
+class TestBlockSizes:
+    """Blocks are sized by what a block of the fit holds."""
+
+    def test_dense_rows_keep_the_dense_budget(self):
+        for n in (24, 64, pairs._DENSE_BELOW - 1):
+            assert simulation._block_size(n) == pairs._DENSE_ELEMENTS // (n * n)
+        assert simulation._block_size(64) == 32
+
+    def test_compressed_rows_by_their_footprint(self):
+        n_grid = (pairs._DENSE_BELOW, 100, 200, 1000)
+        assert [simulation._block_size(n) for n in n_grid] == [28, 27, 16, 3]
+        assert simulation._block_size(10**4) == 1
+
+    def test_every_worker_gets_a_block(self):
+        for reps, workers, blocks in ((30, 2, [range(0, 15), range(15, 30)]),
+                                      (20, 2, [range(0, 10), range(10, 20)]),
+                                      (30, 1, [range(0, 27), range(27, 30)]),
+                                      (60, 2, [range(0, 27), range(27, 54),
+                                               range(54, 60)])):
+            cfg = ExperimentConfig(n=100, reps=reps)
+            assert simulation._blocks(cfg, workers) == blocks
+
+    def test_anchor_block_holds_one_lt_stack(self):
+        # a compressed row's L^T is 2 * 32 * 100 floats (50 KB) and its
+        # three grids 24 KB: with one L^T stack per block, the traced peak
+        # of an anchor block stays below three L^T stacks (150 KB) a row
+        cfg = ExperimentConfig(n=100, eps_spec="fixed:2", reps=1000, seed=1)
+        rows = simulation._block_size(cfg.n)
+        simulation._run_block(cfg, range(rows))
+        tracemalloc.start()
+        try:
+            simulation._run_block(cfg, range(500, 500 + rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows <= 150 * 1024
 
 
 class TestQqExport:
