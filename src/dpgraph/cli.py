@@ -73,8 +73,24 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+# a list's items one per line, four spaces in, by the C encoder
+_LIST_ITEMS = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def _dump_json(path: str, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as json.dumps(obj, indent=2, sort_keys=True) + "\\n" would,
+    byte for byte, for the layout every output of this module has: a flat
+    object whose values are scalars or lists of scalars.  json.dumps with an
+    indent runs the pure-Python encoder, which takes about 1.7 times as long
+    on an n = 2000 fit; here each value goes through the C encoder."""
+    items = []
+    for key, value in sorted(obj.items()):
+        if isinstance(value, list) and value:
+            text = "[\n    " + _LIST_ITEMS.encode(value)[1:-1] + "\n  ]"
+        else:
+            text = json.dumps(value)
+        items.append(f"{json.dumps(key)}: {text}")
+    _write_text(path, "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n")
 
 
 def cmd_privatize(args) -> int:

@@ -237,38 +237,53 @@ def _pcg_block(
     all rows.  Products with V use the diagonal and the cross block only.
     Returns (x, ok): ok[r] is False when S_r does not exist, an iterate
     turned non-finite, or the cap was reached, and x[r] is then 0.  A row
-    that has converged is no longer updated, and every row's arithmetic is
-    that of a lone solve.
+    that converges or breaks leaves the working arrays, so no later product
+    is computed for it, and every row's arithmetic is that of a lone solve.
+    w is used up: with one row per system, the rows that leave leave it by
+    take, which compacts it in place.
     """
     ok = np.all(v_diag > 0.0, axis=-1) & (v_2n_2n > 0.0) & np.ones(len(b), dtype=bool)
+    x_out = np.zeros_like(b)
+    per_row = len(v_diag) > 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = SApprox(1.0 / v_diag, 1.0 / v_2n_2n)
         tol = _CG_RTOL * np.abs(b).max(axis=1)
+        # the rows of b still iterating, and their working arrays
+        rows = np.arange(len(b))
         x = np.zeros_like(b)
         r = b.copy()
-        q = np.empty_like(b)
         z = s.apply(r)
         p, rz = z, _rowdot(r, z)
-        done = ~ok | (np.abs(r).max(axis=1) <= tol)
-        for _ in range(_CG_MAX_ITER):
-            if done.all():
+        conv = np.abs(r).max(axis=1) <= tol
+        stop = ~ok | conv
+        for it in range(_CG_MAX_ITER + 1):
+            if stop.any():
+                ok[rows[stop]] &= conv[stop]
+                x_out[rows[stop]] = x[stop]
+                keep = ~stop
+                rows, x, r, p, rz, tol = (a[keep] for a in (rows, x, r, p, rz, tol))
+                if per_row:
+                    v_diag, w = v_diag[keep], w.take(keep)
+                    s = SApprox(s.diag[keep], s.shared[keep])
+            if rows.size == 0 or it == _CG_MAX_ITER:
                 break
-            live = ~done[:, None]
             # q = V p: the cross-block products, plus the diagonal part
+            q = np.empty_like(p)
             w.products(p, q)
             q += v_diag * p
             step = (rz / _rowdot(p, q))[:, None]
-            np.add(x, step * p, out=x, where=live)
-            np.subtract(r, step * q, out=r, where=live)
+            x += step * p
+            r -= step * q
             z = s.apply(r)
             rz, rz_old = _rowdot(r, z), rz
-            broke = ~done & ~np.isfinite(rz)
-            ok &= ~broke
+            broke = ~np.isfinite(rz)
             p = z + (rz / rz_old)[:, None] * p
-            done |= broke | (np.abs(r).max(axis=1) <= tol)
-    ok &= np.abs(r).max(axis=1) <= tol
-    x[~ok] = 0.0
-    return x, ok
+            conv = ~broke & (np.abs(r).max(axis=1) <= tol)
+            stop = broke | conv
+    # the rows left reached the cap
+    ok[rows] = False
+    x_out[~ok] = 0.0
+    return x_out, ok
 
 
 @dataclass(frozen=True)

@@ -85,23 +85,31 @@ def _barycentric(
     x: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(L^T, nodes) for stacked points x (..., n): the Chebyshev nodes over
-    each [min x, max x] (..., p), and the transposes (..., p, n) of the
-    matrices that interpolate values at the nodes to the points x, written
-    into out when given.  A point on a node gets a one-hot row of L; so does
-    every point of a box of zero width, whose nodes coincide."""
+    each [min x, max x] (..., p), and L^T (..., p, n), whose column j holds
+    the weights that interpolate values at the nodes to the point x[..., j],
+    written into out when given.  A point on a node gets a one-hot column,
+    1 on that node.  An axis of zero width (every axis of the start
+    theta = 0) has p coinciding nodes, and its L^T is written directly as
+    one-hot on node 0 in every column, without the passes over its entries;
+    the passes run only on stacks with an axis of nonzero width."""
     lo, hi = x.min(axis=-1, keepdims=True), x.max(axis=-1, keepdims=True)
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lt = np.subtract(x[..., None, :], nodes[..., :, None], out=out)
-        np.divide(_CHEB_W[:, None], lt, out=lt)
-        # the weights' sum is finite unless the point lies on a node
-        total = lt.sum(axis=-2, keepdims=True)
-        lt /= total
-    *batch, point = np.nonzero(~np.isfinite(total[..., 0, :]))
-    if point.size:
-        lt[(*batch, slice(None), point)] = 0.0
-        near = np.abs(x[(*batch, point)][:, None] - nodes[tuple(batch)]).argmin(axis=-1)
-        lt[(*batch, near, point)] = 1.0
+    flat = lo[..., 0] == hi[..., 0]
+    lt = np.empty(x.shape[:-1] + (_CHEB_NODES, x.shape[-1])) if out is None else out
+    if not flat.all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(x[..., None, :], nodes[..., :, None], out=lt)
+            np.divide(_CHEB_W[:, None], lt, out=lt)
+            # the weights' sum is finite unless the point lies on a node
+            total = lt.sum(axis=-2, keepdims=True)
+            lt /= total
+        *batch, point = np.nonzero(~np.isfinite(total[..., 0, :]) & ~flat[..., None])
+        if point.size:
+            lt[(*batch, slice(None), point)] = 0.0
+            near = np.abs(x[(*batch, point)][:, None] - nodes[tuple(batch)]).argmin(axis=-1)
+            lt[(*batch, near, point)] = 1.0
+    lt[flat] = 0.0
+    lt[flat, 0] = 1.0
     return lt, nodes
 
 

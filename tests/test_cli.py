@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpgraph import ParameterVector, PROBIT, expected_bidegree
-from dpgraph.cli import STATS_DUMP_HEADER, build_parser, main
+from dpgraph.cli import STATS_DUMP_HEADER, _dump_json, build_parser, main
 
 # any JSON value: scalars of every JSON type, and lists and objects of them
 JSON_VALUES = st.recursive(
@@ -46,6 +46,21 @@ DUMP_ROWS = st.lists(
     max_size=5,
 )
 JUNK = st.none() | st.tuples(st.integers(0, 6), JUNK_LINES)
+# the layout of every JSON document the CLI writes: a flat object whose
+# values are scalars or lists of scalars, with the scalars' edge cases
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**400]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                     2.2250738585072e-308]),
+    st.text(),
+)
+FLAT_DOCUMENTS = st.dictionaries(
+    st.text(), JSON_SCALARS | st.lists(JSON_SCALARS, max_size=4), max_size=6
+)
 
 
 def _with_junk(lines: list, junk) -> str:
@@ -625,6 +640,16 @@ class TestQq:
         assert code in (0, 1, 64)
         err = capsys.readouterr().err
         assert err.count("\n") == (code != 0) and "Traceback" not in err
+
+
+class TestJsonWriter:
+    @FUZZ_SETTINGS
+    @given(doc=FLAT_DOCUMENTS)
+    def test_writes_the_bytes_of_json_dumps(self, doc, tmp_path):
+        path = tmp_path / "doc.json"
+        _dump_json(str(path), doc)
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 class TestUsage:

@@ -253,6 +253,32 @@ class TestPcgSolve:
         v_inv_norm = np.abs(np.linalg.inv(v)).sum(axis=1).max()
         assert np.abs(step - dense).max() <= v_inv_norm * tol + 1e-14 * np.abs(dense).max()
 
+    def test_finished_rows_leave_the_products(self, monkeypatch):
+        # row 0 converges before the first product (b = 0) and row 1 later:
+        # every product is computed for row 1 alone, and both rows solve as
+        # they would alone
+        n = 60
+        theta = random_theta(n, 1.0, 360)
+        b = moment_residual(theta, expected_bidegree(random_theta(n, 1.0, 3), PROBIT),
+                            PROBIT)
+        jac = jacobian(theta, PROBIT)
+        products = pairs._Pairs.products
+
+        def solve(rhs):
+            rows, seen = len(rhs), []
+            monkeypatch.setattr(pairs._Pairs, "products", lambda self, p, out: (
+                seen.append(len(p)), products(self, p, out)))
+            op = pairs._Pairs([pairs._DensePairs(np.repeat(jac.w[None], rows, axis=0))])
+            x, ok = estimator._pcg_block(np.repeat(jac.v_diag[None], rows, axis=0),
+                                         np.full(rows, jac.v_2n_2n), op, rhs)
+            return x, ok, seen
+
+        x, ok, seen = solve(np.stack([np.zeros_like(b), b]))
+        assert ok.all() and seen and set(seen) == {1}
+        assert np.array_equal(x[0], np.zeros_like(b))
+        x_alone, _, seen_alone = solve(b[None])
+        assert np.array_equal(x[1], x_alone[0]) and len(seen) == len(seen_alone)
+
     def test_iteration_cap_reports_singular(self, monkeypatch):
         monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
         theta = random_theta(30, 0.75, 7)
@@ -366,6 +392,48 @@ class TestPairOperator:
         assert np.array_equal(la, one_node) == (which == "both")
         assert_backends_agree(row, dense_backend(free, PROBIT), n,
                               np.random.default_rng(0))
+
+    def test_mixed_stack_matches_each_axis_alone(self):
+        # a zero-width axis, an axis with one point on a node and a generic
+        # axis, stacked as _cheb_iterate stacks them: each axis's L^T and
+        # nodes equal those of the axis built alone, bit for bit
+        n = 300
+        rng = np.random.default_rng(11)
+        x = np.zeros((2, 2, n))
+        x[0, 1] = x[1, 0] = rng.uniform(-1.0, 1.0, n)
+        x[0, 1, 0], x[0, 1, -1] = -1.0, 1.0
+        x[0, 1, 7] = pairs._CHEB_T[5]  # node 5 of the box [-1, 1]
+        lt, nodes = pairs._barycentric(x)
+        for r, a in np.ndindex(2, 2):
+            lt_alone, nodes_alone = pairs._barycentric(x[r, a][None])
+            np.testing.assert_array_equal(lt[r, a], lt_alone[0])
+            np.testing.assert_array_equal(nodes[r, a], nodes_alone[0])
+        assert np.array_equal(lt[1, 1], np.eye(32)[[0] * n].T)
+        np.testing.assert_array_equal(lt[0, 1, :, 7], np.eye(32)[5])
+        assert np.all(np.isfinite(lt))
+
+    def test_start_operator_matches_dense_at_n_2000(self):
+        # theta = 0: both axes have zero width, so every L^T is one-hot.
+        # numpy adds a column of the dense matrix one term at a time, which
+        # here drifts by 3e-11, so the sums are checked against math.fsum of
+        # the dense rows and columns
+        n = 2000
+        free = np.zeros(2 * n - 1)
+        op = pairs._pairs(free[None], PROBIT)
+        assert op.rows is None and isinstance(op.stacks[0][0], pairs._ChebPairs)
+        dense = dense_backend(free, PROBIT)
+        for got, want in ((op.mu(), dense.mu()), (op.mu_prime(), dense.mu_prime()),
+                          (op.mu().bernoulli(), dense.mu().bernoulli())):
+            m = want.stacks[0].m[0]
+            exact = [math.fsum(v) for v in (*m, *m.T)]
+            sides, last = got.sums()
+            np.testing.assert_allclose(np.append(sides[0], last), exact,
+                                       rtol=0, atol=1e-14 * n)
+        p = np.random.default_rng(2).standard_normal((3, 2 * n - 1))
+        q_got, q_want = np.empty_like(p), np.empty_like(p)
+        op.mu_prime().products(p, q_got)
+        dense.mu_prime().products(p, q_want)
+        np.testing.assert_allclose(q_got, q_want, rtol=0, atol=1e-14 * n)
 
     def test_strength_on_a_node_gets_a_one_hot_row(self):
         n = 300
