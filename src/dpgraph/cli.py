@@ -10,6 +10,7 @@ its data outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -140,7 +141,7 @@ def _json_n(n, path: str) -> int:
 def _json_degrees(values, key: str, path: str) -> np.ndarray:
     """A degrees JSON's z_out or z_in: a list of JSON numbers (not bools,
     strings, nulls or lists)."""
-    if isinstance(values, list) and all(type(v) in (int, float) for v in values):
+    if isinstance(values, list) and set(map(type, values)) <= {int, float}:
         return np.array(values, dtype=float)  # OverflowError beyond float range
     raise EdgeListParseError(
         f"bad degrees JSON in {path}: {key} must be a list of numbers"
@@ -235,10 +236,11 @@ def cmd_simulate(args) -> int:
         sys.stdout.write(csv)
     if args.dump_stats:
         lines = [STATS_DUMP_HEADER]
-        for rec in result.records:
-            for s in rec.stats:
-                lines.append(
-                    f"{rec.rep_index},{s.pair_i},{s.pair_j},{s.kind},{s.value!r}"
+        for rec, row in zip(result.records, result.values.tolist()):
+            if rec.exists:
+                lines.extend(
+                    f"{rec.rep_index},{i},{j},{kind},{value!r}"
+                    for (i, j, kind), value in zip(result.columns, row)
                 )
         _write_text(args.dump_stats, "\n".join(lines) + "\n")
     print(
@@ -305,6 +307,7 @@ def cmd_qq(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # main parses with one parser: a build costs some 18 parses
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="dpgraph",

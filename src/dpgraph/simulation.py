@@ -23,7 +23,9 @@ the variances, statistics and intervals are vectorized over the block.
 The stacked solve never mixes rows: its work is elementwise, reductions
 within each row's own arrays and one BLAS call per row, and a stopped row
 is frozen.  So a replication's output does not depend on the block size,
-on its block-mates or on the worker count that ran its block.
+on its block-mates or on the worker count that ran its block.  The blocks
+ascend in rep_index and the pool returns them in the order they went out,
+so the records and the statistics' rows come back in rep_index order.
 
 Coverage and interval lengths are tallied only over replications where the
 estimate exists; the non-existence frequency is reported separately.
@@ -35,7 +37,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -161,23 +163,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class StatRecord:
-    pair_i: int
-    pair_j: int
-    kind: str
-    value: float
-    covered: bool
-    ci_length: float
-
-
-@dataclass(frozen=True)
 class RepRecord:
     rep_index: int
     epsilon: float
     reason: str | None
     iterations: int
     deviation_ok: bool
-    stats: tuple[StatRecord, ...] = field(default_factory=tuple)
 
     @property
     def exists(self) -> bool:
@@ -212,13 +203,14 @@ def _blocks(cfg: ExperimentConfig, workers: int) -> list[range]:
     return [range(b, min(b + size, cfg.reps)) for b in range(0, cfg.reps, size)]
 
 
-def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
+def _run_block(cfg: ExperimentConfig, rep_indices: range) -> tuple:
     """Sample, privatize, fit and test a block of replications.
 
     Each replication draws its graph and its noise from its own stream,
     exactly as a lone one would; the fits then run as one stacked Newton
     solve, whose arithmetic for a replication does not depend on the other
-    replications, and the statistics and intervals are vectorized.
+    replications.  Returns the records, then the statistics and the interval
+    lengths as ExperimentResult.values and .lengths lay them out.
     """
     n = cfg.n
     model = get_model(cfg.model)
@@ -239,46 +231,26 @@ def _run_block(cfg: ExperimentConfig, rep_indices: range) -> list[RepRecord]:
     dev_ok = dev <= deviation_bound(n, eps)
 
     fit = _newton_block(zout, zin, model, np.zeros(2 * n - 1))
-    # rows without an estimate carry NaN variances and are never read
+    # rows without an estimate carry NaN variances, hence NaN statistics
     z_diag = fit.variance(PrivacyParams.from_epsilon(eps)).z_diag
-    q = _normal_quantile(cfg.level)
     free_star = theta_star.to_free()
-    columns = []  # (kind, values, lengths): one column per pair
-    for kind in cfg.stat_kinds:
-        values, se = _contrast_stats(fit.free, z_diag, free_star, kind, cfg.pairs)
-        columns.append((kind, values, 2.0 * q * se))
-
-    records = []
-    for row, rep in enumerate(rep_indices):
-        stats = tuple(
-            StatRecord(
-                pair_i=i,
-                pair_j=j,
-                kind=kind,
-                value=float(values[row, col]),
-                covered=bool(abs(values[row, col]) <= q),
-                ci_length=float(lengths[row, col]),
-            )
-            for kind, values, lengths in columns
-            for col, (i, j) in enumerate(cfg.pairs)
-            if fit.reason[row] is None
+    stats = [
+        _contrast_stats(fit.free, z_diag, free_star, kind, cfg.pairs)
+        for kind in cfg.stat_kinds
+    ]
+    values, se = (np.hstack(arrays) for arrays in zip(*stats))
+    records = [
+        RepRecord(rep, eps, reason, int(iterations), bool(ok))
+        for rep, reason, iterations, ok in zip(
+            rep_indices, fit.reason, fit.iterations, dev_ok
         )
-        records.append(
-            RepRecord(
-                rep_index=rep,
-                epsilon=eps,
-                reason=fit.reason[row],
-                iterations=int(fit.iterations[row]),
-                deviation_ok=bool(dev_ok[row]),
-                stats=stats,
-            )
-        )
-    return records
+    ]
+    return records, values, 2.0 * _normal_quantile(cfg.level) * se
 
 
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> RepRecord:
     """One sample -> privatize -> fit -> test pass, on its own RNG stream."""
-    return _run_block(cfg, range(rep_index, rep_index + 1))[0]
+    return _run_block(cfg, range(rep_index, rep_index + 1))[0][0]
 
 
 @dataclass(frozen=True)
@@ -325,27 +297,32 @@ class CoverageReport:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """values and lengths (2 q se) hold one row per record and one column per
+    (pair_i, pair_j, kind) of columns, kinds outermost; a row is NaN where its
+    estimate does not exist.  Compare results field by field, not with ==."""
+
     report: CoverageReport
     records: tuple[RepRecord, ...]
+    values: np.ndarray
+    lengths: np.ndarray
+    columns: tuple[tuple[int, int, str], ...]
 
     def stat_values(self, pair: tuple[int, int], kind: str = "xi") -> np.ndarray:
         """Pooled statistic values for one (pair, kind) over existing reps."""
-        vals = [
-            s.value
-            for rec in self.records
-            for s in rec.stats
-            if (s.pair_i, s.pair_j) == pair and s.kind == kind
-        ]
-        return np.asarray(vals)
+        try:
+            col = self.columns.index((*pair, kind))
+        except ValueError:
+            raise DomainError(f"the run holds no {kind} statistic for {pair}") from None
+        return self.values[[r.exists for r in self.records], col]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications and aggregate the coverage table.
 
     Replications run in the blocks of _blocks; workers > 1 fans them out to
-    a process pool, and workers = 0 means one worker per CPU.  Aggregation
-    sorts by rep_index, so the result is bit-identical for any worker count
-    and block size.
+    a process pool, and workers = 0 means one worker per CPU.  The blocks
+    ascend in rep_index and pool.map keeps their order, so the result is
+    bit-identical for any worker count and block size.
     """
     start = time.perf_counter()
     if workers == 0:
@@ -356,43 +333,38 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_block, [cfg] * len(blocks), blocks))
-    records = sorted((rec for block in done for rec in block), key=lambda r: r.rep_index)
-
-    n_exist = sum(1 for r in records if r.exists)
+    records = tuple(rec for block, _, _ in done for rec in block)
+    values = np.concatenate([v for _, v, _ in done])
+    lengths = np.concatenate([ln for _, _, ln in done])
+    kept = np.array([r.exists for r in records])  # the rows tallied
+    n_exist = int(kept.sum())
     nonexist_freq = 1.0 - n_exist / cfg.reps
     dev_freq = sum(1 for r in records if r.deviation_ok) / cfg.reps
-
-    rows = []
-    for kind in cfg.stat_kinds:
-        for i, j in cfg.pairs:
-            covered, full = [], []
-            for rec in records:
-                for s in rec.stats:
-                    if (s.pair_i, s.pair_j, s.kind) == (i, j, kind):
-                        covered.append(s.covered)
-                        full.append(s.ci_length)
-            rows.append(
-                CoverageRow(
-                    n=cfg.n,
-                    L_spec=cfg.L_spec,
-                    eps_spec=cfg.eps_spec,
-                    pair_i=i,
-                    pair_j=j,
-                    stat_kind=kind,
-                    coverage=float(np.mean(covered)) if covered else float("nan"),
-                    ci_length_full=float(np.mean(full)) if full else float("nan"),
-                    nonexist_freq=nonexist_freq,
-                    reps=cfg.reps,
-                )
-            )
+    covered = np.abs(values) <= _normal_quantile(cfg.level)
+    columns = tuple((i, j, kind) for kind in cfg.stat_kinds for i, j in cfg.pairs)
+    rows = tuple(
+        CoverageRow(
+            n=cfg.n,
+            L_spec=cfg.L_spec,
+            eps_spec=cfg.eps_spec,
+            pair_i=i,
+            pair_j=j,
+            stat_kind=kind,
+            coverage=float(np.mean(covered[kept, c])) if n_exist else math.nan,
+            ci_length_full=float(np.mean(lengths[kept, c])) if n_exist else math.nan,
+            nonexist_freq=nonexist_freq,
+            reps=cfg.reps,
+        )
+        for c, (i, j, kind) in enumerate(columns)
+    )
     report = CoverageReport(
-        rows=tuple(rows),
+        rows=rows,
         nonexist_freq=nonexist_freq,
         deviation_ok_freq=dev_freq,
         reps=cfg.reps,
         runtime_seconds=time.perf_counter() - start,
     )
-    return ExperimentResult(report=report, records=tuple(records))
+    return ExperimentResult(report, records, values, lengths, columns)
 
 
 def qq_export(values) -> list[tuple[int, float, float]]:

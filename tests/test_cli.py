@@ -345,6 +345,20 @@ class TestEstimate:
         assert err.count("\n") == 1 and "z_out must be a list of numbers" in err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_long_list_with_one_bool_and_one_list_rejected(self, tmp_path, capsys):
+        # the entry types are checked in one pass over the whole list
+        n = 5000
+        z_in = [1] * n
+        z_in[n // 3], z_in[2 * n // 3] = True, [1]
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"n": n, "z_out": [1.5] * n, "z_in": z_in}))
+        code = run_cli("estimate", str(path), "--raw",
+                       "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "z_in must be a list of numbers" in err
+        assert not (tmp_path / "fit.json").exists()
+
     @settings(
         max_examples=80,
         deadline=None,
@@ -671,6 +685,14 @@ class TestUsage:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{bad} is not UTF-8 text" in err
         assert not out.exists()
+
+    def test_parser_is_built_once_and_parses_afresh(self):
+        parser = build_parser()
+        assert parser is build_parser()
+        argv = ["simulate", "--n", "10", "--pairs", "1,2"]
+        # a repeatable flag starts from its default on every parse
+        assert parser.parse_args(argv).pairs == ["1,2"]
+        assert parser.parse_args(argv).pairs == ["1,2"]
 
     def test_readme_commands_parse(self):
         # a README that names a removed flag fails here

@@ -287,7 +287,7 @@ class TestPcgSolve:
         assert fit.iterations == 1
 
     def test_fit_path_never_builds_dense_v(self, monkeypatch):
-        from dpgraph import ExperimentConfig, JacobianMatrix, run_replication
+        from dpgraph import ExperimentConfig, JacobianMatrix, run_experiment
 
         class DenseV(Exception):
             pass
@@ -302,8 +302,8 @@ class TestPcgSolve:
         assert np.abs(fit.theta.to_free() - theta.to_free()).max() <= 1e-8
         vi = variance_estimates(fit.theta, PROBIT, PrivacyParams.from_epsilon(2.0))
         assert np.all(vi.z_diag > 0)
-        rec = run_replication(ExperimentConfig(n=50, reps=1, seed=4), 0)
-        assert rec.exists and rec.stats
+        res = run_experiment(ExperimentConfig(n=50, reps=1, seed=4))
+        assert res.records[0].exists and np.all(np.isfinite(res.values))
         # the diagnostics are the only place dense V is built
         with pytest.raises(DenseV):
             s_approx_error(jacobian(theta, PROBIT))
@@ -924,6 +924,19 @@ class TestStandardizedStats:
         with pytest.raises(NonexistentFitError):
             standardized_stats(fit, theta, [(1, 2)])
 
+    @pytest.mark.parametrize("pair", [(1.5, 2), (1, 2.0), (True, 2), (1, np.bool_(1))])
+    def test_non_integer_pair_rejected(self, pair):
+        theta, fit = _fitted()
+        with pytest.raises(DomainError, match="integer"):
+            standardized_stats(fit, theta, [pair])
+
+    def test_numpy_integer_pair_accepted(self):
+        theta, fit = _fitted()
+        np.testing.assert_array_equal(
+            standardized_stats(fit, theta, [(np.int64(1), np.int32(2))]),
+            standardized_stats(fit, theta, [(1, 2)]),
+        )
+
 
 class TestConfidenceInterval:
     def test_uniform_closed_form(self):
@@ -973,6 +986,13 @@ class TestConfidenceInterval:
         _, fit = _fitted(n=10)
         with pytest.raises(DomainError):
             confidence_interval(fit, (1, 2), level=1.2)
+
+    @pytest.mark.parametrize("pair", [(1.5, 2), (True, 2), ("1", 2)])
+    def test_non_integer_pair_rejected(self, pair):
+        _, fit = _fitted(n=10)
+        with pytest.raises(DomainError, match="integer"):
+            confidence_interval(fit, pair)
+        assert confidence_interval(fit, (np.int64(1), 2)) == confidence_interval(fit, (1, 2))
 
     def test_nonexistent_fit_is_contract_error(self):
         n = 30

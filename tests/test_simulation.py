@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from dpgraph import (
     PROBIT,
@@ -119,11 +120,11 @@ class TestRunReplication:
             n=30, L_spec="zero", eps_spec="fixed:4", reps=1, seed=5,
             pairs=((1, 2), (3, 4)), stat_kinds=("xi", "zeta"),
         )
-        rec = run_replication(cfg, 0)
-        assert rec.exists
-        assert len(rec.stats) == 4
-        kinds = {(s.kind, s.pair_i, s.pair_j) for s in rec.stats}
-        assert ("zeta", 3, 4) in kinds
+        res = run_experiment(cfg)
+        assert res.records == (run_replication(cfg, 0),) and res.records[0].exists
+        assert res.columns == ((1, 2, "xi"), (3, 4, "xi"), (1, 2, "zeta"), (3, 4, "zeta"))
+        assert res.values.shape == res.lengths.shape == (1, 4)
+        assert np.all(np.isfinite(res.values)) and np.all(res.lengths > 0)
 
 
 class TestRunExperiment:
@@ -134,8 +135,8 @@ class TestRunExperiment:
         rec = res.records[0]
         row = res.report.rows[0]
         if rec.exists:
-            assert row.coverage == float(rec.stats[0].covered)
-            np.testing.assert_allclose(row.ci_length_full, rec.stats[0].ci_length)
+            assert row.coverage == float(abs(res.values[0, 0]) <= ndtri(0.975))
+            np.testing.assert_allclose(row.ci_length_full, res.lengths[0, 0])
         assert row.reps == 1
 
     def test_parallel_matches_serial(self):
@@ -145,6 +146,26 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, workers=2)
         assert serial.records == parallel.records
         assert serial.report.rows == parallel.report.rows
+        assert np.array_equal(serial.values, parallel.values, equal_nan=True)
+        assert np.array_equal(serial.lengths, parallel.lengths, equal_nan=True)
+
+    def test_values_are_nan_exactly_where_no_estimate_exists(self):
+        res = run_experiment(ExperimentConfig(**MIXED))
+        exists = np.array([r.exists for r in res.records])
+        assert 0 < exists.sum() < len(exists)
+        for stats in (res.values, res.lengths):
+            assert np.array_equal(np.isnan(stats).all(axis=1), ~exists)
+            assert np.array_equal(np.isnan(stats).any(axis=1), ~exists)
+
+    def test_stat_values_select_one_column_over_existing_reps(self):
+        res = run_experiment(ExperimentConfig(**MIXED))
+        exists = [r.exists for r in res.records]
+        got = res.stat_values([3, 4], kind="zeta")
+        assert np.array_equal(got, res.values[exists, res.columns.index((3, 4, "zeta"))])
+        assert got.size == sum(exists) and np.all(np.isfinite(got))
+        for pair, kind in (((5, 6), "xi"), ((1, 2), "tau")):
+            with pytest.raises(DomainError, match="no"):
+                res.stat_values(pair, kind=kind)
 
     def test_coverage_counts_only_existing_fits(self):
         # epsilon small enough that many replications have no estimate
@@ -229,6 +250,11 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             ExperimentConfig(n=3)
 
+    @pytest.mark.parametrize("pair", [(1.5, 2), (True, 2), (1, 2.0)])
+    def test_rejects_non_integer_pairs(self, pair):
+        with pytest.raises(DomainError, match="integer"):
+            ExperimentConfig(n=10, reps=2, seed=1, pairs=(pair,))
+
     @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.1, float("nan")])
     def test_rejects_level_outside_unit_interval(self, level):
         with pytest.raises(DomainError, match="level"):
@@ -304,10 +330,11 @@ class TestBlockInvariance:
     def test_each_replication_matches_a_lone_fit(self, monkeypatch):
         cfg = ExperimentConfig(**MIXED)
         monkeypatch.setattr(simulation, "_block_size", lambda n: 32)
-        records = run_experiment(cfg).records
+        res = run_experiment(cfg)
         theta_star = make_true_params(cfg.n, cfg.L_spec)
         reasons = set()
-        for rec in records:
+        for row, rec in enumerate(res.records):
+            assert rec.rep_index == row
             rng = np.random.default_rng(derive_stream_seed(cfg.seed, rec.rep_index))
             noisy = privatize(degrees(sample_graph(theta_star, PROBIT, rng)), 1.5, rng)
             fit = newton_solve(noisy, PROBIT)
@@ -315,7 +342,7 @@ class TestBlockInvariance:
             assert (rec.exists, rec.reason, rec.iterations) == (
                 fit.exists, fit.reason, fit.iterations)
             if not fit.exists:
-                assert rec.stats == ()
+                assert np.isnan(res.values[row]).all() and np.isnan(res.lengths[row]).all()
                 continue
             vi = variance_estimates(fit.theta, PROBIT, noisy.params)
             assert np.array_equal(fit.var_diag, vi.z_diag)
@@ -325,7 +352,8 @@ class TestBlockInvariance:
                 for pair, value in zip(cfg.pairs, values):
                     ci = confidence_interval(fit, pair, kind=kind)
                     expected.append((*pair, kind, float(value), ci.length))
-            got = [(s.pair_i, s.pair_j, s.kind, s.value, s.ci_length) for s in rec.stats]
+            got = [(i, j, kind, value, length) for (i, j, kind), value, length
+                   in zip(res.columns, res.values[row].tolist(), res.lengths[row].tolist())]
             assert got == expected  # exact: the same floats, not merely close
         assert reasons == {None, "range"}
 
