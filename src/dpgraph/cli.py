@@ -101,10 +101,11 @@ def cmd_privatize(args) -> int:
     text = _read_text(args.edge_list)
     graph = parse_edge_list(text)
     rng = np.random.default_rng(args.seed)
-    noisy = privatize(degrees(graph), args.epsilon, rng)
+    bidegree = degrees(graph)
+    noisy = privatize(bidegree, args.epsilon, rng)
     _dump_json(args.out, noisy.to_json_dict(seed=args.seed))
     print(
-        f"n={graph.n} edges={graph.edge_count} "
+        f"n={graph.n} edges={int(bidegree.out_deg.sum())} "
         f"epsilon={params.epsilon} lambda={params.lam:.6g}"
     )
     return EXIT_OK

@@ -637,13 +637,17 @@ def _require_variance(fit: FitResult) -> np.ndarray:
     return fit.var_diag
 
 
+def _is_node_index(k) -> bool:
+    """An int or numpy integer, but not a bool, which would pass for 0 or 1."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 def _stat_indices(kind: str, i: int, j: int, n: int) -> tuple[int, int]:
     """Map a 1-based node pair to 0-based variance indices for a statistic."""
     if kind not in STAT_KINDS:
         raise DomainError(f"kind must be one of {STAT_KINDS}")
-    for k in (i, j):
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-            raise DomainError(f"pair ({i!r}, {j!r}) must hold integer node indices")
+    if not (_is_node_index(i) and _is_node_index(j)):
+        raise DomainError(f"pair ({i!r}, {j!r}) must hold integer node indices")
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError(f"pair ({i}, {j}) out of range for n={n}")
     if i == j and kind != "zeta":

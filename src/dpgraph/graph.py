@@ -200,13 +200,15 @@ def parse_edge_list(text: str) -> DirectedGraph:
 # longest id in the plain form: 18 digits stay below 2^63
 _PLAIN_DIGITS = 18
 # the plain form's body is read in pieces of about this many characters,
-# each ending at a line end, which bounds the pass's working memory
-_PLAIN_CHUNK = 1 << 20
+# each ending at a line end, so that a piece's byte, separator and id
+# arrays stay cache-sized: on a 3.9 MB list, pieces of 32 to 256 KiB ran
+# about as fast as each other, and pieces of 8 KiB or 1 MiB slower
+_PLAIN_CHUNK = 1 << 16
 
 
 def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray, int | None] | None:
     """(srcs, dsts, declared n) of an edge list in the plain form, read in
-    one vectorized pass over its bytes (in pieces of about 1 MiB); None
+    one vectorized pass over its bytes (in pieces of about 64 KiB); None
     for any other text, which `_parse_lines` then reads (and, if
     malformed, reports with its line number).
 
@@ -257,35 +259,44 @@ def _plain_ids(lines: str) -> np.ndarray | None:
     if not lines.isascii():
         return None
     b = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
-    # run[1:-1] marks digits: every other plain byte lies below "0"
-    run = np.zeros(b.size + 2, dtype=bool)
-    run[1:-1] = b >= 0x30
-    spaces = sum(np.count_nonzero(b == c) for c in b" \t\n\r")
-    if b.max() > 0x39 or np.count_nonzero(run) + spaces != b.size:
+    if b.max() > 0x39:
         return None
-    after_cr = np.flatnonzero(b == 0x0D) + 1
+    # every other plain byte lies below "0": the separators, at sep; the
+    # checks below read only them (s) and the digits are the bytes between
+    sep = np.flatnonzero(b < 0x30)
+    s = b[sep]
+    if sum(np.count_nonzero(s == c) for c in b" \t\n\r") != s.size:
+        return None
+    after_cr = sep[s == 0x0D] + 1
     if after_cr.size and (after_cr[-1] == b.size or (b[after_cr] != 0x0A).any()):
         return None
 
-    # ids are the maximal runs of digits, bytes [starts, stops)
-    bounds = np.flatnonzero(run[1:] != run[:-1])
-    starts, stops = bounds[0::2], bounds[1::2]
-    lengths = stops - starts
+    # ids are the maximal runs of digits: id j fills the gap at[j] between
+    # separators, ends before byte ends[j] and has lfs[at[j]] LFs before it
+    bounds = np.concatenate(([-1], sep, [b.size]))
+    gaps = np.diff(bounds) - 1
+    at = np.flatnonzero(gaps > 0)
+    lengths = gaps[at]
     longest = int(lengths.max(initial=0))
-    if longest > _PLAIN_DIGITS or starts.size % 2:
+    if longest > _PLAIN_DIGITS or at.size % 2:
         return None
-    if starts.size:
-        # breaks[j]: an LF lies between the ends of ids j and j + 1; each
-        # line holds two ids when ids alternate in-line and across lines
-        breaks = np.logical_or.reduceat(b[: stops[-1]] == 0x0A, stops[:-1])
-        if breaks[0::2].any() or not breaks[1::2].all():
-            return None
+    lfs = np.zeros(s.size + 1, dtype=np.intp)
+    np.cumsum(s == 0x0A, out=lfs[1:])
+    # each line holds two ids when ids alternate in-line and across lines
+    steps = np.diff(lfs[at])
+    if steps[0::2].any() or not steps[1::2].all():
+        return None
 
-    digits = b - 0x30  # digit values; other bytes wrap and are never read
-    ids = digits[starts].astype(np.int64)
-    for k in range(1, longest):
-        more = np.flatnonzero(lengths > k)
-        ids[more] = ids[more] * 10 + digits[starts[more] + k]
+    # two_digit[i + 1] is the number in bytes i - 1 and i, separators read
+    # as 0, so an id is the sum of two_digit[ends - k] * 10^k over even k
+    digits = np.maximum(b, 0x30) - 0x30
+    two_digit = np.zeros(b.size + 1, dtype=np.uint8)
+    two_digit[1:] = digits
+    two_digit[2:] += digits[:-1] * np.uint8(10)
+    ends = bounds[1:][at]
+    ids = two_digit[ends].astype(np.int64)
+    for k in range(2, longest, 2):
+        ids += two_digit[ends - k] * (lengths > k) * np.int64(10**k)
     return ids
 
 
@@ -345,8 +356,9 @@ def _edge_graph(srcs, dsts, declared_n: int | None) -> DirectedGraph:
     except ValueError:
         # numpy refuses outright a shape whose byte count overflows
         raise MemoryError(f"a {n} x {n} adjacency matrix") from None
-    rows = np.asarray(srcs, dtype=np.intp) - 1
-    adj[rows, np.asarray(dsts, dtype=np.intp) - 1] = True
+    # edge i -> j is entry (i - 1) * n + (j - 1) of the flat adjacency
+    flat = np.asarray(srcs, dtype=np.intp) * n + np.asarray(dsts, dtype=np.intp) - (n + 1)
+    adj.reshape(-1)[flat] = True
     duplicates = len(srcs) - np.count_nonzero(adj)
     if duplicates:
         logger.warning("collapsed %d duplicate edge(s)", duplicates)

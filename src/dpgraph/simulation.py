@@ -37,7 +37,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,6 +45,7 @@ from scipy.special import ndtri
 from .errors import DomainError
 from .estimator import (
     _contrast_stats,
+    _is_node_index,
     _newton_block,
     _normal_quantile,
     _stat_indices,
@@ -277,7 +278,8 @@ class CoverageReport:
     nonexist_freq: float
     deviation_ok_freq: float
     reps: int
-    runtime_seconds: float
+    # wall time varies between runs of one seeded config, so == skips it
+    runtime_seconds: float = field(compare=False)
 
     CSV_HEADER = (
         "n,L_spec,eps_spec,pair_i,pair_j,stat_kind,coverage,"
@@ -309,6 +311,8 @@ class ExperimentResult:
 
     def stat_values(self, pair: tuple[int, int], kind: str = "xi") -> np.ndarray:
         """Pooled statistic values for one (pair, kind) over existing reps."""
+        if not all(map(_is_node_index, pair)):
+            raise DomainError(f"pair {tuple(pair)!r} must hold integer node indices")
         try:
             col = self.columns.index((*pair, kind))
         except ValueError:

@@ -123,6 +123,13 @@ class TestPrivatize:
         summary = capsys.readouterr().out
         assert "n=6" in summary and "edges=10" in summary
 
+    def test_summary_counts_collapsed_edges(self, tmp_path, capsys):
+        edges = tmp_path / "dup.txt"
+        edges.write_text("1 2\n1 2\n2 3\n")
+        assert run_cli("privatize", str(edges), "--epsilon", "1.0",
+                       "--out", str(tmp_path / "noisy.json")) == 0
+        assert "n=3 edges=2 " in capsys.readouterr().out
+
     def test_byte_reproducible(self, small_edge_list, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("privatize", small_edge_list, "--epsilon", "0.7",

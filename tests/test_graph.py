@@ -373,6 +373,48 @@ class TestEdgeListParsing:
         monkeypatch.setattr(graph, "_parse_lines", line_loop)
         assert _parse_outcome(parse_edge_list, text) == expected
 
+    @pytest.mark.parametrize("chunk", [1, 8])
+    @given(text=_edge_list_texts(near_miss=False) | _edge_list_texts(near_miss=True))
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    def test_matches_reference_across_piece_boundaries(self, chunk, text):
+        # pieces of one or a few lines: a piece boundary falls inside every text
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_PLAIN_CHUNK", chunk)
+            got = _parse_outcome(parse_edge_list, text)
+        assert got == _parse_outcome(_reference_parse, text)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("x", "non-integer node id"),
+        ("\r", "expected '<src> <dst>'"),
+    ], ids=["letter", "lone-cr"])
+    def test_non_plain_byte_in_last_piece_falls_back(self, bad, message, monkeypatch):
+        text = _bench_shaped_text(200, seed=5)
+        assert len(text) > 2 * graph._PLAIN_CHUNK  # several pieces
+        head, last = text.rstrip("\n").rsplit("\n", 1)
+        src, dst = last.split()
+        text = f"{head}\n{src} {bad}{dst}\n"
+        expected = _parse_outcome(_reference_parse, text)
+        assert expected[0] is EdgeListParseError
+        assert expected[1].startswith(f"line {text.count(chr(10))}: {message}")
+        line_loop, calls = graph._parse_lines, []
+        monkeypatch.setattr(graph, "_parse_lines", lambda t: calls.append(t) or line_loop(t))
+        assert _parse_outcome(parse_edge_list, text) == expected
+        assert calls == [text]
+
+    @pytest.mark.parametrize("text", [
+        "1\n2\n", "1\n2 3\n4\n", "1 2 3\n4\n", "1 2 3 4\n", "1 2\r", "1 2\r\r\n",
+    ])
+    def test_lines_not_of_two_ids_or_a_lone_cr_leave_the_plain_form(self, text):
+        assert graph._plain_ids(text) is None
+        assert _parse_outcome(parse_edge_list, text) == _parse_outcome(_reference_parse, text)
+
+    def test_long_and_short_ids_in_one_piece(self):
+        ids = [123456789012345678, 1, 7, 99999999999999999, 5, 10**17, 3, 2]
+        text = "".join(f"{a} {b}\n" for a, b in zip(ids[0::2], ids[1::2]))
+        assert graph._plain_ids(text).tolist() == ids
+        srcs, dsts, n = graph._parse_plain("n=4\n000000000000000001 2\n3\t000000000000000004\n")
+        assert (srcs.tolist(), dsts.tolist(), n) == ([1, 3], [2, 4], 4)
+
     def test_integer_adjacency_accepted_multiplicity_rejected(self):
         g = DirectedGraph(adjacency=np.array([[0, 1], [0, 0]]))
         assert g.edge_count == 1

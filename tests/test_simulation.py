@@ -167,6 +167,19 @@ class TestRunExperiment:
             with pytest.raises(DomainError, match="no"):
                 res.stat_values(pair, kind=kind)
 
+    def test_stat_values_takes_integer_pairs_only(self):
+        res = run_experiment(ExperimentConfig(**MIXED))
+        np.testing.assert_array_equal(res.stat_values((np.int64(1), 2)), res.stat_values((1, 2)))
+        for pair in ((1.0, 2.0), (True, 2)):
+            with pytest.raises(DomainError, match="integer node indices"):
+                res.stat_values(pair)
+
+    def test_seeded_runs_give_equal_reports(self):
+        # the wall time differs between runs and takes no part in ==
+        cfg = ExperimentConfig(n=20, L_spec="zero", eps_spec="fixed:2",
+                               reps=3, seed=4, pairs=((1, 2),))
+        assert run_experiment(cfg).report == run_experiment(cfg).report
+
     def test_coverage_counts_only_existing_fits(self):
         # epsilon small enough that many replications have no estimate
         cfg = ExperimentConfig(n=100, L_spec="sqrtlogn", eps_spec="logn_n12",
