@@ -272,7 +272,7 @@ def _plain_ids(lines: str) -> np.ndarray | None:
         return None
 
     # ids are the maximal runs of digits: id j fills the gap at[j] between
-    # separators, ends before byte ends[j] and has lfs[at[j]] LFs before it
+    # separators, ends at byte last[j] and has lfs[at[j]] LFs before it
     bounds = np.concatenate(([-1], sep, [b.size]))
     gaps = np.diff(bounds) - 1
     at = np.flatnonzero(gaps > 0)
@@ -287,16 +287,15 @@ def _plain_ids(lines: str) -> np.ndarray | None:
     if steps[0::2].any() or not steps[1::2].all():
         return None
 
-    # two_digit[i + 1] is the number in bytes i - 1 and i, separators read
-    # as 0, so an id is the sum of two_digit[ends - k] * 10^k over even k
-    digits = np.maximum(b, 0x30) - 0x30
-    two_digit = np.zeros(b.size + 1, dtype=np.uint8)
-    two_digit[1:] = digits
-    two_digit[2:] += digits[:-1] * np.uint8(10)
-    ends = bounds[1:][at]
-    ids = two_digit[ends].astype(np.int64)
-    for k in range(2, longest, 2):
-        ids += two_digit[ends - k] * (lengths > k) * np.int64(10**k)
+    # an id is the sum of digits[last - k] * 10^k over k below its length;
+    # bytes before it (a separator, or wrapped round a piece's start) are
+    # scaled by 0, and each term is widened to int64 before it is scaled,
+    # as numpy 1's value-based casting would keep uint8 * 10^k narrow
+    digits = b - 0x30
+    last = bounds[1:][at] - 1
+    ids = digits[last].astype(np.int64)
+    for k in range(1, longest):
+        ids += digits[last - k].astype(np.int64) * (lengths > k) * 10**k
     return ids
 
 

@@ -409,9 +409,13 @@ class TestEdgeListParsing:
         assert _parse_outcome(parse_edge_list, text) == _parse_outcome(_reference_parse, text)
 
     def test_long_and_short_ids_in_one_piece(self):
-        ids = [123456789012345678, 1, 7, 99999999999999999, 5, 10**17, 3, 2]
+        # from the third digit on, a digit times 10^k outgrows the byte it
+        # is read from (345, 999): each term of the sum is taken in int64
+        ids = [123456789012345678, 1, 7, 99999999999999999, 5, 10**17, 3, 2,
+               345, 1, 1, 999, 25600, 9999, 4294967296, 18446744073]
         text = "".join(f"{a} {b}\n" for a, b in zip(ids[0::2], ids[1::2]))
-        assert graph._plain_ids(text).tolist() == ids
+        got = graph._plain_ids(text)
+        assert got.dtype == np.int64 and got.tolist() == ids
         srcs, dsts, n = graph._parse_plain("n=4\n000000000000000001 2\n3\t000000000000000004\n")
         assert (srcs.tolist(), dsts.tolist(), n) == ([1, 3], [2, 4], 4)
 
