@@ -56,7 +56,6 @@ from .privacy import (
     privatize,
 )
 from .simulation import (
-    CoverageReport,
     ExperimentConfig,
     ExperimentResult,
     RepRecord,

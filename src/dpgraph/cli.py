@@ -230,7 +230,7 @@ def cmd_simulate(args) -> int:
             f"DPGRAPH_THREADS must be a non-negative integer, got {raw_workers!r}"
         )
     result = run_experiment(cfg, workers=workers)
-    csv = result.report.to_csv()
+    csv = result.to_csv()
     if args.out:
         _write_text(args.out, csv)
     else:
@@ -245,8 +245,8 @@ def cmd_simulate(args) -> int:
                 )
         _write_text(args.dump_stats, "\n".join(lines) + "\n")
     print(
-        f"reps={cfg.reps} nonexist_freq={result.report.nonexist_freq!r} "
-        f"runtime={result.report.runtime_seconds:.2f}s",
+        f"reps={cfg.reps} nonexist_freq={result.nonexist_freq!r} "
+        f"runtime={result.runtime_seconds:.2f}s",
         file=sys.stderr,
     )
     return EXIT_OK

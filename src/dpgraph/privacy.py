@@ -169,7 +169,5 @@ def deviation_bound(n: int, epsilon: float) -> float:
     """
     if n < 2:
         raise DomainError("n must be >= 2")
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError("epsilon must be positive")
     logn = math.log(n)
-    return math.sqrt(n * logn) + (4.0 / epsilon) * math.sqrt(logn)
+    return math.sqrt(n * logn) + PrivacyParams(epsilon).kappa * math.sqrt(logn)

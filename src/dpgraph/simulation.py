@@ -27,8 +27,12 @@ on its block-mates or on the worker count that ran its block.  The blocks
 ascend in rep_index and the pool returns them in the order they went out,
 so the records and the statistics' rows come back in rep_index order.
 
-Coverage and interval lengths are tallied only over replications where the
-estimate exists; the non-existence frequency is reported separately.
+run_experiment returns one ExperimentResult, which stores the config, the
+records and the statistics and interval lengths, and derives the coverage
+table from them: per (pair, kind) column the coverage and mean interval
+length, tallied only over replications where the estimate exists (NaN when
+none does), and the non-existence frequency, reported separately.  The
+intervals are 95 % ones throughout.
 """
 
 from __future__ import annotations
@@ -69,6 +73,9 @@ L_SPECS = ("zero", "loglogn", "sqrtlogn")
 EPS_SPECS = ("fixed:<value>", "logn_n14", "logn_n12")
 
 _MASK64 = (1 << 64) - 1
+
+# the harness's one interval level: the two-sided 95 % normal quantile
+_Z95 = _normal_quantile(0.95)
 
 
 def _splitmix64(x: int) -> int:
@@ -139,7 +146,6 @@ class ExperimentConfig:
     pairs: tuple[tuple[int, int], ...] | None = None
     model: str = "probit"
     stat_kinds: tuple[str, ...] = ("xi",)
-    level: float = 0.95
 
     def __post_init__(self):
         if self.n < 4:
@@ -150,7 +156,6 @@ class ExperimentConfig:
         # two seeds would alias to one stream
         if not 0 <= self.seed <= _MASK64:
             raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
-        _normal_quantile(self.level)
         resolve_L(self.L_spec, self.n)
         resolve_epsilon(self.eps_spec, self.n)
         get_model(self.model)
@@ -161,12 +166,17 @@ class ExperimentConfig:
         for kind in self.stat_kinds:
             for i, j in self.pairs:
                 _stat_indices(kind, i, j, self.n)  # validates bounds per kind
+        # a repeat would duplicate its columns in every output
+        named = (("probe pair", self.pairs), ("statistic kind", self.stat_kinds))
+        for name, items in named:
+            for k, item in enumerate(items):
+                if item in items[:k]:
+                    raise DomainError(f"{name} {item!r} is repeated")
 
 
 @dataclass(frozen=True)
 class RepRecord:
     rep_index: int
-    epsilon: float
     reason: str | None
     iterations: int
     deviation_ok: bool
@@ -241,12 +251,12 @@ def _run_block(cfg: ExperimentConfig, rep_indices: range) -> tuple:
     ]
     values, se = (np.hstack(arrays) for arrays in zip(*stats))
     records = [
-        RepRecord(rep, eps, reason, int(iterations), bool(ok))
+        RepRecord(rep, reason, int(iterations), bool(ok))
         for rep, reason, iterations, ok in zip(
             rep_indices, fit.reason, fit.iterations, dev_ok
         )
     ]
-    return records, values, 2.0 * _normal_quantile(cfg.level) * se
+    return records, values, 2.0 * _Z95 * se
 
 
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> RepRecord:
@@ -254,60 +264,70 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> RepRecord:
     return _run_block(cfg, range(rep_index, rep_index + 1))[0][0]
 
 
-@dataclass(frozen=True)
-class CoverageRow:
-    n: int
-    L_spec: str
-    eps_spec: str
-    pair_i: int
-    pair_j: int
-    stat_kind: str
-    coverage: float
-    ci_length_full: float
-    nonexist_freq: float
-    reps: int
-
-    @property
-    def ci_length_half(self) -> float:
-        return self.ci_length_full / 2.0
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    rows: tuple[CoverageRow, ...]
-    nonexist_freq: float
-    deviation_ok_freq: float
-    reps: int
-    # wall time varies between runs of one seeded config, so == skips it
-    runtime_seconds: float = field(compare=False)
-
-    CSV_HEADER = (
-        "n,L_spec,eps_spec,pair_i,pair_j,stat_kind,coverage,"
-        "ci_length_full,ci_length_half,nonexist_freq,reps"
-    )
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.L_spec},{r.eps_spec},{r.pair_i},{r.pair_j},"
-                f"{r.stat_kind},{r.coverage!r},{r.ci_length_full!r},"
-                f"{r.ci_length_half!r},{r.nonexist_freq!r},{r.reps}"
-            )
-        return "\n".join(lines) + "\n"
+CSV_HEADER = (
+    "n,L_spec,eps_spec,pair_i,pair_j,stat_kind,coverage,"
+    "ci_length_full,ci_length_half,nonexist_freq,reps"
+)
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """values and lengths (2 q se) hold one row per record and one column per
-    (pair_i, pair_j, kind) of columns, kinds outermost; a row is NaN where its
-    estimate does not exist.  Compare results field by field, not with ==."""
+    """One coverage run: its config, one record per replication, and the
+    statistics and interval lengths (2 q se) with one row per record and one
+    column per (pair_i, pair_j, kind) of columns, kinds outermost; a row is
+    NaN where its estimate does not exist.  The coverage table is derived
+    from these.  Compare results field by field, not with ==; the wall time
+    takes no part in any comparison."""
 
-    report: CoverageReport
+    cfg: ExperimentConfig
     records: tuple[RepRecord, ...]
     values: np.ndarray
     lengths: np.ndarray
-    columns: tuple[tuple[int, int, str], ...]
+    runtime_seconds: float = field(compare=False)
+
+    @property
+    def columns(self) -> tuple[tuple[int, int, str], ...]:
+        return tuple((i, j, k) for k in self.cfg.stat_kinds for i, j in self.cfg.pairs)
+
+    @property
+    def _exists(self) -> np.ndarray:
+        return np.array([r.exists for r in self.records], dtype=bool)
+
+    def _column_means(self, table: np.ndarray) -> np.ndarray:
+        """Per column, the mean over existing reps; NaN when none exists."""
+        kept = table[self._exists].T
+        return np.array([col.mean() if col.size else math.nan for col in kept])
+
+    @property
+    def coverage(self) -> np.ndarray:
+        """Per column, the share of existing reps whose interval covers."""
+        return self._column_means(np.abs(self.values) <= _Z95)
+
+    @property
+    def ci_length(self) -> np.ndarray:
+        """Per column, the mean full interval length over existing reps."""
+        return self._column_means(self.lengths)
+
+    @property
+    def nonexist_freq(self) -> float:
+        return 1.0 - sum(r.exists for r in self.records) / self.cfg.reps
+
+    @property
+    def deviation_ok_freq(self) -> float:
+        return sum(r.deviation_ok for r in self.records) / self.cfg.reps
+
+    def to_csv(self) -> str:
+        """The coverage table, one line per column after CSV_HEADER."""
+        cfg, nonexist = self.cfg, self.nonexist_freq
+        lines = [CSV_HEADER]
+        for (i, j, kind), cov, length in zip(
+            self.columns, self.coverage.tolist(), self.ci_length.tolist()
+        ):
+            lines.append(
+                f"{cfg.n},{cfg.L_spec},{cfg.eps_spec},{i},{j},{kind},{cov!r},"
+                f"{length!r},{length / 2.0!r},{nonexist!r},{cfg.reps}"
+            )
+        return "\n".join(lines) + "\n"
 
     def stat_values(self, pair: tuple[int, int], kind: str = "xi") -> np.ndarray:
         """Pooled statistic values for one (pair, kind) over existing reps."""
@@ -317,11 +337,11 @@ class ExperimentResult:
             col = self.columns.index((*pair, kind))
         except ValueError:
             raise DomainError(f"the run holds no {kind} statistic for {pair}") from None
-        return self.values[[r.exists for r in self.records], col]
+        return self.values[self._exists, col]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all replications and aggregate the coverage table.
+    """Run all replications and gather their records and statistics.
 
     Replications run in the blocks of _blocks; workers > 1 fans them out to
     a process pool, and workers = 0 means one worker per CPU.  The blocks
@@ -337,38 +357,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_block, [cfg] * len(blocks), blocks))
-    records = tuple(rec for block, _, _ in done for rec in block)
-    values = np.concatenate([v for _, v, _ in done])
-    lengths = np.concatenate([ln for _, _, ln in done])
-    kept = np.array([r.exists for r in records])  # the rows tallied
-    n_exist = int(kept.sum())
-    nonexist_freq = 1.0 - n_exist / cfg.reps
-    dev_freq = sum(1 for r in records if r.deviation_ok) / cfg.reps
-    covered = np.abs(values) <= _normal_quantile(cfg.level)
-    columns = tuple((i, j, kind) for kind in cfg.stat_kinds for i, j in cfg.pairs)
-    rows = tuple(
-        CoverageRow(
-            n=cfg.n,
-            L_spec=cfg.L_spec,
-            eps_spec=cfg.eps_spec,
-            pair_i=i,
-            pair_j=j,
-            stat_kind=kind,
-            coverage=float(np.mean(covered[kept, c])) if n_exist else math.nan,
-            ci_length_full=float(np.mean(lengths[kept, c])) if n_exist else math.nan,
-            nonexist_freq=nonexist_freq,
-            reps=cfg.reps,
-        )
-        for c, (i, j, kind) in enumerate(columns)
+    records, values, lengths = zip(*done)
+    return ExperimentResult(
+        cfg,
+        tuple(rec for block in records for rec in block),
+        np.concatenate(values),
+        np.concatenate(lengths),
+        time.perf_counter() - start,
     )
-    report = CoverageReport(
-        rows=rows,
-        nonexist_freq=nonexist_freq,
-        deviation_ok_freq=dev_freq,
-        reps=cfg.reps,
-        runtime_seconds=time.perf_counter() - start,
-    )
-    return ExperimentResult(report, records, values, lengths, columns)
 
 
 def qq_export(values) -> list[tuple[int, float, float]]:

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import binom, chi2, kstest, norm
 
 import dpgraph as dg
-from dpgraph.simulation import derive_stream_seed
+from dpgraph.simulation import derive_stream_seed, resolve_epsilon
 
 Q975 = 1.959963985
 
@@ -110,7 +110,8 @@ def _range_probability(theta: dg.ParameterVector, lam: float) -> float:
 def test_criterion_3_anchor_cell(anchor_run):
     result, elapsed = anchor_run
     start = time.perf_counter()
-    row = result.report.rows[0]
+    cfg = result.cfg
+    coverage, half_length = result.coverage[0], result.ci_length[0] / 2
     # Summing the moment equations shows any solution needs the implied last
     # in-degree sum(z+) - sum(z-_{1..n-1}) in (0, n-1).  That value is node
     # n's true in-degree plus 2n-1 discrete Laplace draws, so it leaves the
@@ -120,19 +121,19 @@ def test_criterion_3_anchor_cell(anchor_run):
     reasons = [rec.reason for rec in result.records if not rec.exists]
     n_range = reasons.count("range")
     n_other = len(reasons) - n_range
-    lam = math.exp(-result.records[0].epsilon / 2)
-    p = _range_probability(dg.make_true_params(row.n, row.L_spec), lam)
-    lo, hi = (int(b) for b in binom.interval(0.999, row.reps, p))
+    lam = math.exp(-resolve_epsilon(cfg.eps_spec, cfg.n) / 2)
+    p = _range_probability(dg.make_true_params(cfg.n, cfg.L_spec), lam)
+    lo, hi = (int(b) for b in binom.interval(0.999, cfg.reps, p))
     _report(
         "criterion 3 (anchor cell)",
         [
-            (f"coverage {row.coverage:.4f} in [0.92, 0.96]",
-             0.92 <= row.coverage <= 0.96),
+            (f"coverage {coverage:.4f} in [0.92, 0.96]",
+             0.92 <= coverage <= 0.96),
             (f"non-range nonexist {n_other} == 0", n_other == 0),
-            (f"range nonexist {n_range} in [{lo}, {hi}] (p {p:.4f}, {row.reps} reps)",
+            (f"range nonexist {n_range} in [{lo}, {hi}] (p {p:.4f}, {cfg.reps} reps)",
              lo <= n_range <= hi),
-            (f"half length {row.ci_length_half:.4f} within 0.03 of 0.349",
-             abs(row.ci_length_half - 0.349) <= 0.03),
+            (f"half length {half_length:.4f} within 0.03 of 0.349",
+             abs(half_length - 0.349) <= 0.03),
         ],
         elapsed + time.perf_counter() - start,
         300.0,
@@ -145,12 +146,12 @@ def test_criterion_4_privacy_degradation():
         n=100, L_spec="zero", eps_spec="logn_n12", reps=1000,
         seed=20260808, pairs=((1, 2),),
     )
-    cov = dg.run_experiment(flat).report.rows[0].coverage
+    cov = dg.run_experiment(flat).coverage[0]
     ramp = dg.ExperimentConfig(
         n=100, L_spec="sqrtlogn", eps_spec="logn_n12", reps=1000,
         seed=20260809, pairs=((1, 2),),
     )
-    nonexist = dg.run_experiment(ramp).report.rows[0].nonexist_freq
+    nonexist = dg.run_experiment(ramp).nonexist_freq
     _report(
         "criterion 4 (privacy degradation)",
         [
@@ -191,7 +192,7 @@ def test_criterion_5_normality():
 
 def test_criterion_6_deviation_bound(anchor_run):
     result, elapsed = anchor_run
-    freq = result.report.deviation_ok_freq
+    freq = result.deviation_ok_freq
     _report(
         "criterion 6 (release deviation bound)",
         [(f"bound held in {freq:.4f} >= 0.99 of 1000 releases", freq >= 0.99)],

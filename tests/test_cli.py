@@ -512,6 +512,20 @@ class TestSimulate:
         assert not out.exists()
         assert run_cli(*args, "--stats", "zeta", "--out", str(out)) == 0
 
+    @pytest.mark.parametrize("extra, repeated", [
+        (["--pairs", "1,2", "--pairs", "1,2"], "probe pair (1, 2)"),
+        (["--pairs", "1,2", "--stats", "xi,xi"], "statistic kind 'xi'"),
+    ])
+    def test_repeated_pair_or_kind_is_usage_error(self, tmp_path, capsys, extra,
+                                                  repeated):
+        # a repeat would write each of its statistics twice, to the CSV,
+        # the dump and so to a qq table built from it
+        out, dump = tmp_path / "r.csv", tmp_path / "d.txt"
+        assert run_cli("simulate", "--n", "20", "--reps", "5", "--seed", "1", *extra,
+                       "--out", str(out), "--dump-stats", str(dump)) == 64
+        assert_one_line_error(capsys, f"{repeated} is repeated")
+        assert not out.exists() and not dump.exists()
+
     def test_pair_without_comma_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--n", "10", "--reps", "2", "--pairs", "1",

@@ -109,11 +109,18 @@ class TestRunReplication:
         b = run_replication(cfg, 2)
         assert a == b
 
-    def test_uses_scheduled_epsilon(self):
+    def test_uses_scheduled_epsilon(self, monkeypatch):
+        used = []
+
+        def spy(bidegree, epsilon, rng):
+            used.append(epsilon)
+            return privatize(bidegree, epsilon, rng)
+
+        monkeypatch.setattr(simulation, "privatize", spy)
         cfg = ExperimentConfig(n=100, L_spec="zero", eps_spec="logn_n12",
                                reps=1, seed=0)
-        rec = run_replication(cfg, 0)
-        np.testing.assert_allclose(rec.epsilon, 0.4605170186, atol=1e-9)
+        run_replication(cfg, 0)
+        np.testing.assert_allclose(used, [0.4605170186], atol=1e-9)
 
     def test_records_statistics_for_each_pair_and_kind(self):
         cfg = ExperimentConfig(
@@ -133,11 +140,10 @@ class TestRunExperiment:
                                reps=1, seed=11, pairs=((1, 2),))
         res = run_experiment(cfg)
         rec = res.records[0]
-        row = res.report.rows[0]
         if rec.exists:
-            assert row.coverage == float(abs(res.values[0, 0]) <= ndtri(0.975))
-            np.testing.assert_allclose(row.ci_length_full, res.lengths[0, 0])
-        assert row.reps == 1
+            assert res.coverage[0] == float(abs(res.values[0, 0]) <= ndtri(0.975))
+            np.testing.assert_allclose(res.ci_length[0], res.lengths[0, 0])
+        assert len(res.records) == res.cfg.reps == 1
 
     def test_parallel_matches_serial(self):
         cfg = ExperimentConfig(n=24, L_spec="zero", eps_spec="fixed:2",
@@ -145,7 +151,7 @@ class TestRunExperiment:
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=2)
         assert serial.records == parallel.records
-        assert serial.report.rows == parallel.report.rows
+        assert serial.to_csv() == parallel.to_csv()
         assert np.array_equal(serial.values, parallel.values, equal_nan=True)
         assert np.array_equal(serial.lengths, parallel.lengths, equal_nan=True)
 
@@ -175,10 +181,12 @@ class TestRunExperiment:
                 res.stat_values(pair)
 
     def test_seeded_runs_give_equal_reports(self):
-        # the wall time differs between runs and takes no part in ==
+        # the wall time differs between runs and takes no part in the table
         cfg = ExperimentConfig(n=20, L_spec="zero", eps_spec="fixed:2",
                                reps=3, seed=4, pairs=((1, 2),))
-        assert run_experiment(cfg).report == run_experiment(cfg).report
+        a, b = run_experiment(cfg), run_experiment(cfg)
+        assert a.records == b.records and a.to_csv() == b.to_csv()
+        assert a.deviation_ok_freq == b.deviation_ok_freq
 
     def test_coverage_counts_only_existing_fits(self):
         # epsilon small enough that many replications have no estimate
@@ -186,16 +194,15 @@ class TestRunExperiment:
                                reps=20, seed=21, pairs=((1, 2),))
         res = run_experiment(cfg)
         n_exist = sum(r.exists for r in res.records)
-        row = res.report.rows[0]
-        assert row.nonexist_freq == 1.0 - n_exist / 20
+        assert res.nonexist_freq == 1.0 - n_exist / 20
         if n_exist == 0:
-            assert math.isnan(row.coverage)
+            assert math.isnan(res.coverage[0])
 
     def test_csv_shape(self):
         cfg = ExperimentConfig(n=20, L_spec="zero", eps_spec="fixed:2",
                                reps=2, seed=1, stat_kinds=("xi", "eta"),
                                pairs=((1, 2), (5, 6)))
-        csv = run_experiment(cfg).report.to_csv()
+        csv = run_experiment(cfg).to_csv()
         lines = csv.strip().split("\n")
         assert lines[0].startswith("n,L_spec,eps_spec,pair_i")
         assert len(lines) == 1 + 4  # header + kinds x pairs
@@ -205,8 +212,8 @@ class TestRunExperiment:
                                 reps=300, seed=31, pairs=((1, 2),))
         tight = ExperimentConfig(n=100, L_spec="zero", eps_spec="logn_n12",
                                  reps=300, seed=31, pairs=((1, 2),))
-        cov_base = run_experiment(base).report.rows[0].coverage
-        cov_tight = run_experiment(tight).report.rows[0].coverage
+        cov_base = run_experiment(base).coverage[0]
+        cov_tight = run_experiment(tight).coverage[0]
         assert cov_base >= cov_tight - 0.02
 
     def test_all_statistic_kinds_cover_at_easy_settings(self):
@@ -216,26 +223,26 @@ class TestRunExperiment:
             n=60, L_spec="zero", eps_spec="fixed:6", reps=200, seed=61,
             pairs=((1, 2), (30, 31)), stat_kinds=("xi", "zeta", "eta"),
         )
-        report = run_experiment(cfg).report
-        assert report.nonexist_freq <= 0.05
-        for row in report.rows:
-            assert row.coverage >= 0.85, (row.stat_kind, row.coverage)
+        res = run_experiment(cfg)
+        assert res.nonexist_freq <= 0.05
+        for column, coverage in zip(res.columns, res.coverage):
+            assert coverage >= 0.85, (column, coverage)
 
     def test_logit_model_harness_path(self):
         cfg = ExperimentConfig(n=40, L_spec="zero", eps_spec="fixed:6",
                                reps=50, seed=13, pairs=((1, 2),),
                                model="logit")
-        report = run_experiment(cfg).report
-        assert report.nonexist_freq <= 0.2
-        assert report.rows[0].coverage >= 0.8
+        res = run_experiment(cfg)
+        assert res.nonexist_freq <= 0.2
+        assert res.coverage[0] >= 0.8
 
     def test_interval_length_decreases_with_n(self):
         small = ExperimentConfig(n=100, L_spec="zero", eps_spec="fixed:2",
                                  reps=60, seed=41, pairs=((1, 2),))
         large = ExperimentConfig(n=200, L_spec="zero", eps_spec="fixed:2",
                                  reps=60, seed=41, pairs=((1, 2),))
-        len_small = run_experiment(small).report.rows[0].ci_length_full
-        len_large = run_experiment(large).report.rows[0].ci_length_full
+        len_small = run_experiment(small).ci_length[0]
+        len_large = run_experiment(large).ci_length[0]
         assert len_large < len_small
 
 
@@ -268,10 +275,16 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="integer"):
             ExperimentConfig(n=10, reps=2, seed=1, pairs=(pair,))
 
-    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.1, float("nan")])
-    def test_rejects_level_outside_unit_interval(self, level):
-        with pytest.raises(DomainError, match="level"):
-            ExperimentConfig(n=10, reps=3, level=level)
+    @pytest.mark.parametrize("pairs", [((1, 2), (1, 2)), ((1, 2), (3, 4), (1, 2)),
+                                       ((np.int64(1), 2), (1, 2))])
+    def test_rejects_repeated_pair(self, pairs):
+        with pytest.raises(DomainError, match=r"probe pair \(1, 2\) is repeated"):
+            ExperimentConfig(n=10, reps=3, pairs=pairs)
+
+    @pytest.mark.parametrize("kinds", [("xi", "xi"), ("xi", "zeta", "xi")])
+    def test_rejects_repeated_kind(self, kinds):
+        with pytest.raises(DomainError, match="statistic kind 'xi' is repeated"):
+            ExperimentConfig(n=10, reps=3, pairs=((1, 2),), stat_kinds=kinds)
 
 
 # n = 24 at eps = 1.5 mixes fits with `range` non-existence (22 of the
@@ -285,6 +298,46 @@ MIXED_ARGS = ["simulate", "--n", "24", "--eps", "fixed:1.5", "--reps", "70",
 ANCHOR_ARGS = ["simulate", "--n", "100", "--eps", "fixed:2", "--reps", "30",
                "--seed", "11", "--pairs", "1,2", "--pairs", "50,51",
                "--stats", "xi,zeta,eta"]
+
+# eps = log n / sqrt n on the steep ramp: none of the 20 fits exists
+NONE_EXIST = dict(n=100, L_spec="sqrtlogn", eps_spec="logn_n12", reps=20, seed=21)
+
+
+class TestCoverageTable:
+    """The coverage table derived by ExperimentResult, against a tally made
+    here from its records, statistics, interval lengths and config."""
+
+    @pytest.mark.parametrize("kw", [MIXED, NONE_EXIST], ids=["mixed", "none_exist"])
+    def test_csv_fields_match_a_fresh_tally(self, kw):
+        res = run_experiment(ExperimentConfig(**kw))
+        cfg = res.cfg
+        kept = [row for row, rec in enumerate(res.records) if rec.exists]
+        if kw is MIXED:
+            assert 0 < len(kept) < cfg.reps
+        else:
+            assert not kept
+        nonexist = 1.0 - len(kept) / cfg.reps
+        columns = [(i, j, kind) for kind in cfg.stat_kinds for i, j in cfg.pairs]
+        lines = res.to_csv().splitlines()
+        assert lines[0] == ("n,L_spec,eps_spec,pair_i,pair_j,stat_kind,coverage,"
+                            "ci_length_full,ci_length_half,nonexist_freq,reps")
+        assert len(lines) == 1 + len(columns)
+        for col, ((i, j, kind), line) in enumerate(zip(columns, lines[1:])):
+            fields = line.split(",")
+            assert fields[:6] == [str(cfg.n), cfg.L_spec, cfg.eps_spec, str(i), str(j), kind]
+            assert fields[9:] == [repr(nonexist), str(cfg.reps)]
+            coverage, full, half = (float(f) for f in fields[6:9])
+            if not kept:
+                assert fields[6:9] == ["nan"] * 3
+                continue
+            covered = sum(abs(res.values[row, col]) <= ndtri(0.975) for row in kept)
+            assert coverage == covered / len(kept)
+            mean_length = sum(res.lengths[row, col] for row in kept) / len(kept)
+            assert full == pytest.approx(mean_length, rel=1e-12)
+            assert half == full / 2
+        assert res.nonexist_freq == nonexist
+        np.testing.assert_array_equal(res.coverage, [float(line.split(",")[6])
+                                                     for line in lines[1:]])
 
 
 def _theta(n, scale, seed):
