@@ -109,7 +109,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianMatrix:
     """V = -F'(theta): the structured (2n-1) x (2n-1) moment Jacobian.
 
@@ -120,8 +120,11 @@ class JacobianMatrix:
     to columns 1..n-1.
     """
 
-    n: int
     w: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.w.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -155,10 +158,10 @@ class JacobianMatrix:
 
 def jacobian(theta: ParameterVector, model: EdgeMeanModel) -> JacobianMatrix:
     """V = -F'(theta) from the derivative weights."""
-    return JacobianMatrix(n=theta.n, w=_pair_matrix(theta, model.mu_prime))
+    return JacobianMatrix(w=_pair_matrix(theta, model.mu_prime))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SApprox:
     """Closed-form approximation to V^{-1} for the structured Jacobian.
 
@@ -286,7 +289,7 @@ def _pcg_block(
     return x_out, ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a moment fit.
 
@@ -340,7 +343,7 @@ class FitResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BlockFit:
     """Per-row outcomes of one stacked Newton solve.
 
@@ -565,7 +568,7 @@ def convergence_diagnostics(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceInputs:
     """Plug-in variance components at the fitted parameters.
 

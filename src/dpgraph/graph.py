@@ -18,13 +18,25 @@ from .pairs import _pair_matrix
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+def _owned(obj, name: str, values, dtype) -> np.ndarray:
+    """Hold values as obj.name, a read-only array of dtype, and return it: a
+    read-only array of that dtype as it is (its owner must not change it),
+    anything else as a frozen copy, so a caller's array stays writeable."""
+    arr = np.asarray(values)
+    if arr.dtype != dtype or arr.flags.writeable:
+        arr = np.array(arr, dtype=dtype)
+        arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Dense adjacency on n >= 2 nodes; entry [i, j] is the edge i -> j.
 
-    A read-only bool array is held without a copy (an n x n adjacency may
-    be most of a run's memory), so its owner must not change it; any other
-    input is copied, and a caller's writeable array stays writeable.
+    Like every value type it holds its array through `_owned`: a read-only
+    bool array without a copy (an n x n adjacency may be most of a run's
+    memory), any other input as a frozen copy.  == is identity.
     """
 
     adjacency: np.ndarray
@@ -33,15 +45,13 @@ class DirectedGraph:
         raw = np.asarray(self.adjacency)
         if raw.dtype != bool and not np.isin(raw, (0, 1)).all():
             raise DomainError("adjacency entries must be 0/1 indicators")
-        adj = raw if raw.dtype == bool and not raw.flags.writeable else raw.astype(bool)
+        adj = _owned(self, "adjacency", raw, bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DomainError("adjacency must be a square matrix")
         if adj.shape[0] < 2:
             raise DomainError("graph needs at least 2 nodes")
         if adj.diagonal().any():
             raise DomainError("self-loops are not allowed")
-        adj.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
 
     @property
     def n(self) -> int:
@@ -53,18 +63,18 @@ class DirectedGraph:
 
 
 def _int64_entries(values) -> np.ndarray:
-    """values as int64; a non-finite or non-integer entry, or one of
-    magnitude 2^63 or more, raises DomainError.  Integer and bool arrays
-    pass unchecked."""
+    """values as an array, checked to fit int64: a non-finite or
+    non-integer entry, or one of magnitude 2^63 or more, raises
+    DomainError.  Integer and bool arrays pass unchecked."""
     raw = np.asarray(values)
     if raw.dtype.kind not in "biu":
         x = np.asarray(raw, dtype=float)
         if not np.all((x == np.rint(x)) & (np.abs(x) < 2.0**63)):
             raise DomainError("degree entries must be finite integers below 2^63")
-    return np.asarray(raw, dtype=np.int64)
+    return raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiDegree:
     """Out- and in-degree vectors of a directed graph."""
 
@@ -72,23 +82,19 @@ class BiDegree:
     in_deg: np.ndarray
 
     def __post_init__(self):
-        out = _int64_entries(self.out_deg)
-        inn = _int64_entries(self.in_deg)
+        out = _owned(self, "out_deg", _int64_entries(self.out_deg), np.int64)
+        inn = _owned(self, "in_deg", _int64_entries(self.in_deg), np.int64)
         if out.ndim != 1 or out.shape != inn.shape:
             raise DomainError("degree vectors must be 1-D and equal length")
         if out.sum() != inn.sum():
             raise DomainError("out- and in-degree totals must agree")
-        out.flags.writeable = False
-        inn.flags.writeable = False
-        object.__setattr__(self, "out_deg", out)
-        object.__setattr__(self, "in_deg", inn)
 
     @property
     def n(self) -> int:
         return self.out_deg.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterVector:
     """Node strengths (alpha_1..alpha_n, beta_1..beta_n) with beta_n pinned to 0.
 
@@ -101,8 +107,8 @@ class ParameterVector:
     beta: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        b = np.asarray(self.beta, dtype=float)
+        a = _owned(self, "alpha", self.alpha, float)
+        b = _owned(self, "beta", self.beta, float)
         if a.ndim != 1 or a.shape != b.shape:
             raise DomainError("alpha and beta must be 1-D and equal length")
         if a.shape[0] < 2:
@@ -111,10 +117,6 @@ class ParameterVector:
             raise DomainError("parameters must be finite")
         if b[-1] != 0.0:
             raise DomainError("beta_n must be exactly 0")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
 
     @property
     def n(self) -> int:
@@ -130,9 +132,7 @@ class ParameterVector:
         if free.ndim != 1 or free.shape[0] % 2 != 1:
             raise DomainError("free vector must have odd length 2n-1")
         n = (free.shape[0] + 1) // 2
-        beta = np.zeros(n)
-        beta[: n - 1] = free[n:]
-        return cls(alpha=free[:n].copy(), beta=beta)
+        return cls(alpha=free[:n], beta=np.append(free[n:], 0.0))
 
     @classmethod
     def zeros(cls, n: int) -> "ParameterVector":

@@ -17,8 +17,8 @@ two stacks, one per backend:
   at once.
 
 Below _DENSE_BELOW nodes every row is dense.  On the harness's blocks
-(simulation._block_size: 2^17 // n^2 dense rows, or as many compressed
-rows as its footprint budget holds), on a 2-vCPU VM with 1 BLAS thread,
+(_block_size: 2^17 // n^2 dense rows, or as many compressed rows as its
+footprint budget holds), on a 2-vCPU VM with 1 BLAS thread,
 an anchor-style fit takes 0.72 ms a row dense and 0.68 ms compressed at
 n = 64, 1.05 and 0.75 ms at n = 80, 1.40 and 0.78 ms at n = 96.  So the
 compressed form would pay below 96 too, but moving _DENSE_BELOW changes
@@ -233,15 +233,35 @@ def _cheb_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((rows, 2, p, n)), np.empty((3, rows, p, p))
 
 
-def _cheb_iterate(free: np.ndarray, fns, buf=None) -> tuple[np.ndarray, tuple]:
+def _dense_rows(n: int) -> int:
+    """Rows per dense stack, of at most _DENSE_ELEMENTS floats per array."""
+    return max(1, _DENSE_ELEMENTS // (n * n))
+
+
+# The harness fits its replications in blocks of _block_size(n) rows, sized
+# by what a block of the Newton core holds, which bounds the harness's extra
+# memory whatever n is.  Below _DENSE_BELOW a block is one dense stack.
+# From there a row is compressed: it holds its L^T (2 p n floats, p =
+# _CHEB_NODES) and its three p x p grids (_cheb_buffers), and a block at
+# most _CHEB_BLOCK_FLOATS of those (2 MB: 27 rows at n = 100, 16 at n = 200,
+# 3 at n = 1000); its rows whose box is too wide go dense (_dense_rows).
+_CHEB_BLOCK_FLOATS = 1 << 18
+
+
+def _block_size(n: int) -> int:
+    if n < _DENSE_BELOW:
+        return _dense_rows(n)
+    p = _CHEB_NODES
+    return max(1, _CHEB_BLOCK_FLOATS // (2 * p * n + 3 * p * p))
+
+
+def _cheb_iterate(free: np.ndarray, fns, buf) -> tuple[np.ndarray, tuple]:
     """(resolved, (mu, mu')): the mask of the rows of stacked free
     coordinates whose mu, mu' and mu(1-mu) grids _CHEB_NODES nodes resolve,
     and the compressed stacks of those rows, written into the front of the
-    buffers buf from _cheb_buffers (fresh ones when None).  Both stacks are
-    built up front, because their grids' tails decide the backend."""
+    buffers buf from _cheb_buffers.  Both stacks are built up front,
+    because their grids' tails decide the backend."""
     R, n = free.shape[0], (free.shape[-1] + 1) // 2
-    if buf is None:
-        buf = _cheb_buffers(R, n)
     ab = np.zeros((R, 2, n))
     ab[:, 0] = free[:, :n]
     ab[:, 1, : n - 1] = free[:, n:]
@@ -336,9 +356,8 @@ class _Pairs:
 def _pairs(free: np.ndarray, model: EdgeMeanModel, buf=None) -> _Pairs:
     """The pair operator at stacked free coordinates: dense below
     _DENSE_BELOW nodes, else compressed on the rows whose box allows it and
-    dense on the others, in stacks of at most _DENSE_ELEMENTS floats per
-    n x n array.  The compressed stacks are written into the buffers buf
-    if they have the rows."""
+    dense on the others, in stacks of _dense_rows(n) rows.  The compressed
+    stacks are written into the buffers buf if they have the rows."""
     fns = (model.mu, model.mu_prime)
     R, n = free.shape[0], (free.shape[-1] + 1) // 2
     if n < _DENSE_BELOW:
@@ -349,7 +368,7 @@ def _pairs(free: np.ndarray, model: EdgeMeanModel, buf=None) -> _Pairs:
     if resolved.all():
         return _Pairs([cheb], None, buf)
     wide = np.flatnonzero(~resolved)
-    size = max(1, _DENSE_ELEMENTS // (n * n))
+    size = _dense_rows(n)
     rows = [wide[k : k + size] for k in range(0, wide.size, size)]
     stacks = [_DenseIterate(free[r], fns) for r in rows]
     if wide.size < R:

@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .graph import BiDegree, _int64_entries
+from .graph import BiDegree, _int64_entries, _owned
 
 SENSITIVITY = 2
 
@@ -67,7 +67,7 @@ class PrivacyParams:
         return 2.0 * self.lam / (1.0 - self.lam) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyBiDegree:
     """Released bi-degree sequence; entries are integers and may fall
     outside [0, n-1]."""
@@ -77,14 +77,10 @@ class NoisyBiDegree:
     params: PrivacyParams
 
     def __post_init__(self):
-        zo = _int64_entries(self.z_out)
-        zi = _int64_entries(self.z_in)
+        zo = _owned(self, "z_out", _int64_entries(self.z_out), np.int64)
+        zi = _owned(self, "z_in", _int64_entries(self.z_in), np.int64)
         if zo.ndim != 1 or zo.shape != zi.shape:
             raise DomainError("noisy degree vectors must be 1-D and equal length")
-        zo.flags.writeable = False
-        zi.flags.writeable = False
-        object.__setattr__(self, "z_out", zo)
-        object.__setattr__(self, "z_in", zi)
 
     @property
     def n(self) -> int:

@@ -11,8 +11,8 @@ so alpha*_1 = L down to alpha*_n = 0, with beta* = alpha* except the
 pinned beta*_n = 0.  L and epsilon are named schedules resolved against n
 (natural logarithms throughout).
 
-Replications run in blocks of _block_size(n) rows, sized by what a block
-of the fit holds: its dense n x n pair arrays below pairs._DENSE_BELOW
+Replications run in blocks of pairs._block_size(n) rows, sized by what a
+block of the fit holds: its dense n x n pair arrays below pairs._DENSE_BELOW
 nodes, its compressed rows (O(32 n) floats each) from there; with several
 workers a block has at most ceil(reps / workers) rows, so each worker gets
 one.  Within a block each replication still samples its graph and its
@@ -41,7 +41,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -56,7 +56,7 @@ from .estimator import (
 )
 from .graph import ParameterVector, _draw_graph, degrees
 from .model import get_model
-from .pairs import _CHEB_NODES, _DENSE_BELOW, _DENSE_ELEMENTS, _pair_matrix
+from .pairs import _block_size, _pair_matrix
 from .privacy import PrivacyParams, deviation_bound, privatize
 
 # The harness runs its own stacked path, but these names stay importable
@@ -186,25 +186,6 @@ class RepRecord:
         return self.reason is None
 
 
-# Replications are fitted in blocks of _block_size(n) rows, sized by what a
-# block of the Newton core holds, which bounds the harness's extra memory
-# whatever n is.  Below pairs._DENSE_BELOW every row is dense, and a block's
-# stacked n x n pair arrays hold at most pairs._DENSE_ELEMENTS floats (1 MB)
-# each.  From there a row is compressed: it holds its L^T (2 p n floats,
-# p = pairs._CHEB_NODES) and its three p x p grids, and a block at most
-# _CHEB_BLOCK_FLOATS of those (2 MB: 27 rows at n = 100, 16 at n = 200, 3
-# at n = 1000).  The rows whose box is too wide go dense, in stacks whose
-# arrays again hold at most pairs._DENSE_ELEMENTS floats.
-_CHEB_BLOCK_FLOATS = 1 << 18
-
-
-def _block_size(n: int) -> int:
-    if n < _DENSE_BELOW:
-        return max(1, _DENSE_ELEMENTS // (n * n))
-    p = _CHEB_NODES
-    return max(1, _CHEB_BLOCK_FLOATS // (2 * p * n + 3 * p * p))
-
-
 def _blocks(cfg: ExperimentConfig, workers: int) -> list[range]:
     """The replications' blocks: of _block_size(n) rows, and with several
     workers at most ceil(reps / workers), so that every worker gets one."""
@@ -270,20 +251,20 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """One coverage run: its config, one record per replication, and the
     statistics and interval lengths (2 q se) with one row per record and one
     column per (pair_i, pair_j, kind) of columns, kinds outermost; a row is
     NaN where its estimate does not exist.  The coverage table is derived
-    from these.  Compare results field by field, not with ==; the wall time
-    takes no part in any comparison."""
+    from these.  == is identity, as for every type holding arrays: compare
+    results field by field."""
 
     cfg: ExperimentConfig
     records: tuple[RepRecord, ...]
     values: np.ndarray
     lengths: np.ndarray
-    runtime_seconds: float = field(compare=False)
+    runtime_seconds: float
 
     @property
     def columns(self) -> tuple[tuple[int, int, str], ...]:
@@ -310,7 +291,7 @@ class ExperimentResult:
 
     @property
     def nonexist_freq(self) -> float:
-        return 1.0 - sum(r.exists for r in self.records) / self.cfg.reps
+        return (self.cfg.reps - sum(r.exists for r in self.records)) / self.cfg.reps
 
     @property
     def deviation_ok_freq(self) -> float:

@@ -261,12 +261,19 @@ class TestEstimate:
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert doc["exists"] is False and doc["alpha"] is None
 
-    def test_nan_degree_exits_3(self, tmp_path):
+    def test_nan_degree_exits_3(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"n": 4, "z_out": [1, NaN, 1, 1], "z_in": [1, 1, 1, 1]}')
         code = run_cli("estimate", str(path), "--raw",
                        "--out", str(tmp_path / "fit.json"))
         assert code == 3
+        # a release (it carries epsilon) is checked before it is fitted
+        path.write_text('{"n": 4, "epsilon": 2.0, "z_out": [1, NaN, 1, 1], '
+                        '"z_in": [1, 1, 1, 1]}')
+        capsys.readouterr()
+        code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == 3
+        assert_one_line_error(capsys, "numerical failure: non-finite degree input")
 
     def test_truncated_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "deg.json"

@@ -102,6 +102,10 @@ class TestMomentResidual:
             moment_residual(
                 ParameterVector.zeros(4), (np.zeros(3), np.zeros(3)), PROBIT
             )
+        with pytest.raises(DomainError, match="must be 1-D and equal length"):
+            moment_residual(
+                ParameterVector.zeros(4), (np.zeros(4), np.zeros(3)), PROBIT
+            )
 
 
 class TestJacobian:
@@ -324,7 +328,8 @@ def dense_backend(free, model):
 def compressed_backend(free, model):
     """The compressed operator of one row, or None when its box is too wide
     for the nodes."""
-    resolved, stack = pairs._cheb_iterate(free[None], (model.mu, model.mu_prime))
+    buf = pairs._cheb_buffers(1, (free.size + 1) // 2)
+    resolved, stack = pairs._cheb_iterate(free[None], (model.mu, model.mu_prime), buf)
     return pairs._Pairs([stack]) if resolved[0] else None
 
 
@@ -687,6 +692,10 @@ class TestNewtonSolve:
         z_bad[3] = np.nan
         with pytest.raises(NumericalFailure):
             newton_solve((z_bad, z), PROBIT)
+        with pytest.raises(DomainError, match="need at least 2 nodes"):
+            newton_solve((z[:1], z[:1]), PROBIT)
+        with pytest.raises(DomainError, match="init has wrong dimension"):
+            newton_solve((z, z), PROBIT, init=ParameterVector.zeros(9))
 
     def test_shift_invariant_initialization(self):
         # moves along the near-null direction (alpha + c, beta - c) leave all
@@ -900,6 +909,10 @@ class TestStandardizedStats:
             standardized_stats(fit, theta, [(1, fit.n)], kind="zeta")
         with pytest.raises(DomainError):
             standardized_stats(fit, theta, [(fit.n - 1, fit.n)], kind="eta")
+        # beyond the nodes, every kind
+        for pair in ((0, 2), (1, fit.n + 1)):
+            with pytest.raises(DomainError, match=f"out of range for n={fit.n}"):
+                standardized_stats(fit, theta, [pair], kind="xi")
 
     def test_truth_of_another_size_rejected(self):
         _, fit = _fitted(n=20)

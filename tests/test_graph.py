@@ -14,8 +14,10 @@ from dpgraph import (
     DirectedGraph,
     DomainError,
     EdgeListParseError,
+    NoisyBiDegree,
     PROBIT,
     ParameterVector,
+    PrivacyParams,
     degrees,
     expected_bidegree,
     parse_edge_list,
@@ -119,6 +121,8 @@ class TestDirectedGraph:
     def test_rejects_tiny(self):
         with pytest.raises(DomainError):
             DirectedGraph(adjacency=np.zeros((1, 1), dtype=bool))
+        with pytest.raises(DomainError, match="adjacency must be a square matrix"):
+            DirectedGraph(adjacency=np.zeros((3, 4), dtype=bool))
 
     def test_immutable(self):
         g = DirectedGraph(adjacency=np.zeros((3, 3), dtype=bool))
@@ -136,6 +140,49 @@ class TestDirectedGraph:
         assert not np.shares_memory(g.adjacency, adj)
         adj[0, 1] = True
         assert g.edge_count == 0
+
+
+# each value type made from an array, and the array it then holds
+_HOLDERS = {
+    "BiDegree": (
+        np.array([1, 1, 1, 0]),
+        lambda a: BiDegree(out_deg=a, in_deg=[1, 1, 0, 1]).out_deg,
+    ),
+    "NoisyBiDegree": (
+        np.array([3, -1, 0, 2]),
+        lambda a: NoisyBiDegree(a, [0, 0, 0, 0], PrivacyParams(1.0)).z_out,
+    ),
+    "ParameterVector": (
+        np.array([0.5, 0.0, -0.5]),
+        lambda a: ParameterVector(alpha=a, beta=np.zeros(3)).alpha,
+    ),
+    "from_free": (
+        np.array([0.5, 0.0, -0.5, 0.25, 0.1]),
+        lambda a: ParameterVector.from_free(a).alpha,
+    ),
+}
+
+
+class TestValueTypeArrays:
+    """The rule DirectedGraph's tests above pin, for the other value types."""
+
+    @pytest.mark.parametrize("name", _HOLDERS)
+    def test_writeable_input_is_copied_and_stays_writeable(self, name):
+        values, held_by = _HOLDERS[name]
+        a = values.copy()
+        held = held_by(a)
+        assert a.flags.writeable and not np.shares_memory(held, a)
+        a[0] += 1
+        assert held[0] == values[0]
+        with pytest.raises(ValueError):
+            held[0] = 0
+
+    @pytest.mark.parametrize("name", ["BiDegree", "NoisyBiDegree", "ParameterVector"])
+    def test_read_only_input_of_its_dtype_is_held_without_copy(self, name):
+        values, held_by = _HOLDERS[name]
+        a = values.copy()
+        a.flags.writeable = False
+        assert np.shares_memory(held_by(a), a)
 
 
 class TestDegrees:
@@ -173,6 +220,10 @@ class TestBiDegree:
     def test_rejects_non_integer_entries(self, out_deg):
         with pytest.raises(DomainError):
             BiDegree(out_deg=out_deg, in_deg=[1, 1, 0])
+        with pytest.raises(DomainError, match="must be 1-D and equal length"):
+            BiDegree(out_deg=[1, 1], in_deg=[1, 1, 0])
+        with pytest.raises(DomainError, match="totals must agree"):
+            BiDegree(out_deg=[1, 1, 1], in_deg=[1, 1, 0])
 
     def test_integral_floats_become_counts(self):
         d = BiDegree(out_deg=[1.0, 1.0, 0.0], in_deg=np.array([True, True, False]))
@@ -184,6 +235,12 @@ class TestParameterVector:
     def test_pins_last_beta(self):
         with pytest.raises(DomainError):
             ParameterVector(alpha=np.zeros(3), beta=np.array([0.0, 0.0, 0.1]))
+        with pytest.raises(DomainError, match="must be 1-D and equal length"):
+            ParameterVector(alpha=np.zeros(3), beta=np.zeros(2))
+        with pytest.raises(DomainError, match="need at least 2 nodes"):
+            ParameterVector(alpha=np.zeros(1), beta=np.zeros(1))
+        with pytest.raises(DomainError, match="odd length 2n-1"):
+            ParameterVector.from_free(np.zeros(4))
 
     def test_free_round_trip(self):
         rng = np.random.default_rng(1)

@@ -10,6 +10,7 @@ from dpgraph import estimator
 from dpgraph import (
     DomainError,
     LOGIT,
+    ModelBounds,
     PROBIT,
     bounds_for,
     get_model,
@@ -180,6 +181,10 @@ class TestBounds:
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
             bounds_for(PROBIT, -1.0)
+        with pytest.raises(DomainError, match="0 < m <= M"):
+            ModelBounds(Q=1.0, m=0.5, M=0.25, eta1=0.1)
+        with pytest.raises(DomainError, match="eta1 must be >= 0"):
+            ModelBounds(Q=1.0, m=0.25, M=0.5, eta1=-0.1)
 
 
 @pytest.mark.parametrize("model", [PROBIT, LOGIT], ids=["probit", "logit"])

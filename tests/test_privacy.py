@@ -139,6 +139,8 @@ class TestNoisyBiDegree:
     def test_rejects_non_integer_entries(self, z_out):
         with pytest.raises(DomainError):
             NoisyBiDegree(z_out, [1, -1, 0], PrivacyParams.from_epsilon(1.0))
+        with pytest.raises(DomainError, match="must be 1-D and equal length"):
+            NoisyBiDegree([1, 2], [1, -1, 0], PrivacyParams.from_epsilon(1.0))
 
 
 class TestPrivatize:

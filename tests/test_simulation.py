@@ -1,5 +1,6 @@
 """Replication harness: determinism, aggregation, schedules, QQ export."""
 
+import copy
 import math
 import tracemalloc
 
@@ -11,13 +12,17 @@ from dpgraph import (
     PROBIT,
     DomainError,
     ExperimentConfig,
+    ExperimentResult,
     ParameterVector,
+    RepRecord,
+    build_s_approx,
     confidence_interval,
     default_pairs,
     degrees,
     derive_stream_seed,
     expected_bidegree,
     get_model,
+    jacobian,
     make_true_params,
     newton_solve,
     privatize,
@@ -75,6 +80,8 @@ class TestSchedules:
             resolve_L("big", 100)
         with pytest.raises(DomainError):
             resolve_epsilon("fixed:-1", 100)
+        with pytest.raises(DomainError, match="bad fixed epsilon in 'fixed:abc'"):
+            resolve_epsilon("fixed:abc", 100)
 
     def test_default_pairs(self):
         assert default_pairs(100) == ((1, 2), (50, 51), (99, 100))
@@ -194,7 +201,7 @@ class TestRunExperiment:
                                reps=20, seed=21, pairs=((1, 2),))
         res = run_experiment(cfg)
         n_exist = sum(r.exists for r in res.records)
-        assert res.nonexist_freq == 1.0 - n_exist / 20
+        assert res.nonexist_freq == (20 - n_exist) / 20
         if n_exist == 0:
             assert math.isnan(res.coverage[0])
 
@@ -246,6 +253,40 @@ class TestRunExperiment:
         assert len_large < len_small
 
 
+def test_nonexist_freq_is_correctly_rounded():
+    # 1.0 - 4 / 5 would read 0.19999999999999996
+    cfg = ExperimentConfig(n=10, reps=5, pairs=((1, 2),))
+    records = tuple(RepRecord(k, "range" if k == 2 else None, 3, True) for k in range(5))
+    res = ExperimentResult(cfg, records, np.zeros((5, 1)), np.ones((5, 1)), 0.0)
+    assert res.nonexist_freq == 0.2
+    assert res.to_csv().splitlines()[1].split(",")[9] == "0.2"
+
+
+def test_array_holding_types_compare_by_identity():
+    # a generated == would compare their arrays and raise
+    theta = make_true_params(30, "loglogn")
+    rng = np.random.default_rng(2)
+    graph = sample_graph(theta, PROBIT, rng)
+    release = privatize(degrees(graph), 2.0, rng)
+    fit = newton_solve(release, PROBIT)
+    v = jacobian(theta, PROBIT)
+    block = estimator._newton_block(
+        release.z_out[None] * 1.0, release.z_in[None] * 1.0, PROBIT, np.zeros(59)
+    )
+    cfg = ExperimentConfig(n=10, reps=2, seed=1, pairs=((1, 2),))
+    values = (
+        graph, degrees(graph), theta, release, v, build_s_approx(v), fit, block,
+        block.variance(None), run_experiment(cfg),
+    )
+    for value in values:
+        twin = copy.copy(value)
+        assert value == value and twin != value
+        assert len({value, twin, value}) == 2
+    # the scalar-only value types keep their field-wise ==
+    assert ExperimentConfig(n=10) == ExperimentConfig(n=10)
+    assert fit.theta.n == v.n == 30
+
+
 class TestConfigValidation:
     def test_pairs_must_fit_kinds(self):
         with pytest.raises(DomainError):
@@ -269,6 +310,10 @@ class TestConfigValidation:
     def test_rejects_tiny_n(self):
         with pytest.raises(DomainError):
             ExperimentConfig(n=3)
+        with pytest.raises(DomainError, match="reps must be >= 1"):
+            ExperimentConfig(n=10, reps=0)
+        with pytest.raises(DomainError, match="at least one pair"):
+            ExperimentConfig(n=10, pairs=())
 
     @pytest.mark.parametrize("pair", [(1.5, 2), (True, 2), (1, 2.0)])
     def test_rejects_non_integer_pairs(self, pair):
