@@ -368,8 +368,8 @@ def build_parser() -> _Parser:
             "pair_j, stat_kind, coverage, ci_length_full, ci_length_half, "
             "nonexist_freq, reps.  Coverage is tallied over replications "
             "where the estimate exists; non-existence is reported "
-            "separately.  DPGRAPH_THREADS caps worker processes (0 = one "
-            "per CPU; default 1)."
+            "separately.  DPGRAPH_THREADS sets the worker processes, at "
+            "most one per CPU and per block (0 = one per CPU; default 1)."
         ),
     )
     p.add_argument("--n", type=int, required=True, help="node count")

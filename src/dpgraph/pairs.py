@@ -34,8 +34,8 @@ a row's floats do not depend on the other rows.
 
 A block holds one compressed stack: each iterate's L^T and grids are
 written into the buffers of the operator they replace (_Pairs.buf), and
-rows that stop leave by in-place compaction (_compact), which copies
-whole rows and so keeps their floats.
+rows whose fit stops leave by in-place compaction (_compact), which
+copies whole rows and so keeps their floats.
 """
 
 from __future__ import annotations

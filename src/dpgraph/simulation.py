@@ -325,18 +325,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications and gather their records and statistics.
 
     Replications run in the blocks of _blocks; workers > 1 fans them out to
-    a process pool, and workers = 0 means one worker per CPU.  The blocks
-    ascend in rep_index and pool.map keeps their order, so the result is
-    bit-identical for any worker count and block size.
+    a process pool of at most one worker per CPU and per block, and
+    workers = 0 means one worker per CPU.  The blocks ascend in rep_index
+    and pool.map keeps their order, so the result is bit-identical for any
+    worker count and block size.
     """
     start = time.perf_counter()
-    if workers == 0:
-        workers = os.cpu_count() or 1
+    workers = min(workers or math.inf, os.cpu_count() or 1)
     blocks = _blocks(cfg, workers)
     if workers <= 1:
         done = [_run_block(cfg, block) for block in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             done = list(pool.map(_run_block, [cfg] * len(blocks), blocks))
     records, values, lengths = zip(*done)
     return ExperimentResult(

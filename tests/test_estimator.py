@@ -257,10 +257,10 @@ class TestPcgSolve:
         v_inv_norm = np.abs(np.linalg.inv(v)).sum(axis=1).max()
         assert np.abs(step - dense).max() <= v_inv_norm * tol + 1e-14 * np.abs(dense).max()
 
-    def test_finished_rows_leave_the_products(self, monkeypatch):
+    def test_finished_rows_are_frozen(self, monkeypatch):
         # row 0 converges before the first product (b = 0) and row 1 later:
-        # every product is computed for row 1 alone, and both rows solve as
-        # they would alone
+        # row 0 stays frozen at 0, and row 1 solves as it would alone, in as
+        # many products
         n = 60
         theta = random_theta(n, 1.0, 360)
         b = moment_residual(theta, expected_bidegree(random_theta(n, 1.0, 3), PROBIT),
@@ -278,10 +278,30 @@ class TestPcgSolve:
             return x, ok, seen
 
         x, ok, seen = solve(np.stack([np.zeros_like(b), b]))
-        assert ok.all() and seen and set(seen) == {1}
+        assert ok.all() and seen
         assert np.array_equal(x[0], np.zeros_like(b))
         x_alone, _, seen_alone = solve(b[None])
         assert np.array_equal(x[1], x_alone[0]) and len(seen) == len(seen_alone)
+
+    def test_row_without_s_is_frozen_beside_a_normal_row(self):
+        # row 0's diagonal holds a 0, so S_0 does not exist and its p is
+        # non-finite from the start; row 1 must still solve as it would alone
+        n = 60
+        theta = random_theta(n, 1.0, 360)
+        b = moment_residual(theta, expected_bidegree(random_theta(n, 1.0, 3), PROBIT),
+                            PROBIT)
+        jac = jacobian(theta, PROBIT)
+        v_diag = np.stack([jac.v_diag, jac.v_diag])
+        v_diag[0, 5] = 0.0
+
+        def solve(diag, rhs):
+            op = pairs._Pairs([pairs._DensePairs(np.repeat(jac.w[None], len(rhs), axis=0))])
+            return estimator._pcg_block(diag, np.full(len(rhs), jac.v_2n_2n), op, rhs)
+
+        x, ok = solve(v_diag, np.stack([b, b]))
+        x_alone, ok_alone = solve(jac.v_diag[None], b[None])
+        assert not ok[0] and np.array_equal(x[0], np.zeros_like(b))
+        assert ok[1] and ok_alone[0] and np.array_equal(x[1], x_alone[0])
 
     def test_iteration_cap_reports_singular(self, monkeypatch):
         monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
@@ -913,6 +933,12 @@ class TestStandardizedStats:
         for pair in ((0, 2), (1, fit.n + 1)):
             with pytest.raises(DomainError, match=f"out of range for n={fit.n}"):
                 standardized_stats(fit, theta, [pair], kind="xi")
+
+    def test_no_pairs_give_no_statistics(self):
+        theta, fit = _fitted()
+        for kind in ("xi", "zeta", "eta"):
+            vals = standardized_stats(fit, theta, [], kind=kind)
+            assert vals.shape == (0,) and vals.dtype == float
 
     def test_truth_of_another_size_rejected(self):
         _, fit = _fitted(n=20)

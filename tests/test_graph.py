@@ -430,16 +430,6 @@ class TestEdgeListParsing:
         monkeypatch.setattr(graph, "_parse_lines", line_loop)
         assert _parse_outcome(parse_edge_list, text) == expected
 
-    @pytest.mark.parametrize("chunk", [1, 8])
-    @given(text=_edge_list_texts(near_miss=False) | _edge_list_texts(near_miss=True))
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    def test_matches_reference_across_piece_boundaries(self, chunk, text):
-        # pieces of one or a few lines: a piece boundary falls inside every text
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "_PLAIN_CHUNK", chunk)
-            got = _parse_outcome(parse_edge_list, text)
-        assert got == _parse_outcome(_reference_parse, text)
-
     @pytest.mark.parametrize("bad, message", [
         ("x", "non-integer node id"),
         ("\r", "expected '<src> <dst>'"),
@@ -481,6 +471,21 @@ class TestEdgeListParsing:
         assert g.edge_count == 1
         with pytest.raises(DomainError):
             DirectedGraph(adjacency=np.array([[0, 2], [0, 0]]))
+
+
+# a module-level function, not a method: parametrized over a class's
+# instances, hypothesis sees one method called from several executors and
+# fails its differing_executors health check when run without its pytest
+# plugin
+@pytest.mark.parametrize("chunk", [1, 8])
+@given(text=_edge_list_texts(near_miss=False) | _edge_list_texts(near_miss=True))
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+def test_matches_reference_across_piece_boundaries(chunk, text):
+    # pieces of one or a few lines: a piece boundary falls inside every text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PLAIN_CHUNK", chunk)
+        got = _parse_outcome(parse_edge_list, text)
+    assert got == _parse_outcome(_reference_parse, text)
 
 
 class TestLawyerNetwork:

@@ -162,6 +162,39 @@ class TestRunExperiment:
         assert np.array_equal(serial.values, parallel.values, equal_nan=True)
         assert np.array_equal(serial.lengths, parallel.lengths, equal_nan=True)
 
+    def test_worker_count_capped_by_cpus_and_blocks(self, monkeypatch):
+        # a fake pool records its size and maps serially: a huge worker count
+        # must never ask for more processes than CPUs or blocks
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 4)
+        kw = dict(n=24, L_spec="zero", eps_spec="fixed:2", seed=3, pairs=((1, 2),))
+        cfg = ExperimentConfig(reps=3, **kw)
+        serial = run_experiment(cfg, workers=1)
+        capped = run_experiment(cfg, workers=10**6)
+        assert sizes == [3]  # 4 CPUs, but only 3 blocks of one rep
+        assert serial.records == capped.records
+        assert serial.to_csv() == capped.to_csv()
+        assert np.array_equal(serial.values, capped.values, equal_nan=True)
+        assert np.array_equal(serial.lengths, capped.lengths, equal_nan=True)
+        sizes.clear()
+        run_experiment(ExperimentConfig(reps=8, **kw), workers=10**6)
+        assert sizes == [4]  # 4 blocks of two reps, one per CPU
+
     def test_values_are_nan_exactly_where_no_estimate_exists(self):
         res = run_experiment(ExperimentConfig(**MIXED))
         exists = np.array([r.exists for r in res.records])
