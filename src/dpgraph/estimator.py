@@ -25,10 +25,12 @@ diagnostics s_approx_error and convergence_diagnostics.
 Every O(n^2) quantity of a fit (the residual, the diagonal of V, the
 products with its cross block, the variance sums) is a row sum, column
 sum or product of a pair matrix f(alpha_i + beta_j).  One pair operator
-(pairs._Pairs) serves them all: below n = 96 from the dense n x n
+(pairs._Pairs) serves them all: below n = 64 from the dense n x n
 matrices (O(n^2) per product), from there on from a tensor Chebyshev
-interpolant on 32 x 32 nodes (O(32 n) per product), stacked over the
-rows of a block, unless a row's box of strengths is too wide for the nodes.
+interpolant on p x p nodes (O(p n) per product), stacked over the rows of
+a block.  Each row takes the first rung of the node ladder, p = 24 then
+p = 32, whose nodes resolve its box of strengths, and a box too wide for
+both goes dense.
 
 One stacked solver fits R degree sequences at once (the simulation
 harness's blocks of replications); newton_solve is its R = 1 case.  Its

@@ -3,8 +3,8 @@
 Each such quantity is a row sum, column sum or cross-block product of a
 pair matrix f(alpha_i + beta_j) with zero diagonal: f = mu for the
 residual, mu' for the CG products and the diagonal of V, mu(1-mu) and mu'
-for the variance sums.  _Pairs serves them for stacked rows from at most
-two stacks, one per backend:
+for the variance sums.  _Pairs serves them for stacked rows from stacks of
+two backends:
 
 - dense: the n x n matrices themselves;
 - compressed: tensor Chebyshev interpolation over each row's box
@@ -16,25 +16,38 @@ two stacks, one per backend:
   time and memory, and p^2 evaluations of f, for all rows of the stack
   at once.
 
-Below _DENSE_BELOW nodes every row is dense.  On the harness's blocks
-(_block_size: 2^17 // n^2 dense rows, or as many compressed rows as its
-footprint budget holds), on a 2-vCPU VM with 1 BLAS thread,
-an anchor-style fit takes 0.72 ms a row dense and 0.68 ms compressed at
-n = 64, 1.05 and 0.75 ms at n = 80, 1.40 and 0.78 ms at n = 96.  So the
-compressed form would pay below 96 too, but moving _DENSE_BELOW changes
-the floats of every cell it passes.  From there a row is compressed
-unless the last two Chebyshev coefficients per axis of its mu, mu' or
-mu(1-mu) grid exceed _CHEB_TAIL of the largest coefficient (a box too
-wide for the nodes, such as an iterate near the divergence guard); such
-rows go dense, in stacks of at most _DENSE_ELEMENTS floats per array.
-Resolved grids read 2e-15 to 1e-14, from rounding, and rows that pass lie
-within 1e-11 of the dense sums at n = 2000.  A row's backend depends only
-on n and its own box, and a stacked product is one BLAS call per row, so
-a row's floats do not depend on the other rows.
+Below _DENSE_BELOW nodes every row is dense.  From there each row climbs
+the node ladder _CHEB_LADDER (24, then 32 nodes): it takes the first rung
+on which the last two Chebyshev coefficients per axis of its mu, mu' and
+mu(1-mu) grids lie within _CHEB_TAIL of the largest coefficient, and a
+box too wide for every rung (such as an iterate near the divergence
+guard) goes dense, in stacks of at most _DENSE_ELEMENTS floats per array.
+A rung evaluates and tests the grids first and builds L^T only for the
+rows they pass (Aurentz and Trefethen, "Chopping a Chebyshev series",
+2017, pick a degree from the tail likewise).  Resolved grids read 2e-15 to
+1e-14, from rounding, and rows that pass lie within 1e-11 of the dense
+sums at n = 2000.  A row's rung depends only on n and its own box, and a
+stacked product is one BLAS call per row, so a row's floats do not depend
+on the other rows.
 
-A block holds one compressed stack: each iterate's L^T and grids are
-written into the buffers of the operator they replace (_Pairs.buf), and
-rows whose fit stops leave by in-place compaction (_compact), which
+Where dense pays, measured on a 2-vCPU VM with 1 BLAS thread on
+anchor-style releases (flat probit truth, epsilon = 2):
+- on the harness's blocks (_block_size of each backend), the fastest of
+  five passes over 120 releases took 0.41 ms a row dense and 0.37 ms on
+  the ladder at n = 48, 0.55 and 0.70 at n = 56, 0.96 and 0.69 at n = 64,
+  1.29 and 0.44 at n = 80, 1.23 and 0.49 at n = 96.  Below n = 64 the
+  two lie within the machine's spread; from there the ladder leads, so
+  _DENSE_BELOW = 64 (the logit n = 80 cell ran faster on the ladder than
+  dense in 8 of 8 alternating process pairs);
+- a lone fit (newton_solve, estimate; median of 48) took 2.1 ms dense and
+  3.0 ms on the ladder at n = 64, 2.5 and 2.8 at n = 96, 2.5 and 2.7 at
+  n = 112, 3.1 and 2.9 at n = 128, 4.2 and 3.1 at n = 160.  Lone fits
+  below n = 128 would run faster dense, but a row's backend must not
+  depend on how many rows share its block.
+
+A block holds one compressed stack per rung: each iterate's L^T and grids
+are written into the buffers of the operator they replace (_Pairs.buf),
+and rows whose fit stops leave by in-place compaction (_compact), which
 copies whole rows and so keeps their floats.
 """
 
@@ -44,9 +57,10 @@ import numpy as np
 
 from .model import EdgeMeanModel
 
-_CHEB_NODES = 32
+# the node counts a row tries, in order, before it goes dense
+_CHEB_LADDER = (24, 32)
 _CHEB_TAIL = 1e-13
-_DENSE_BELOW = 3 * _CHEB_NODES
+_DENSE_BELOW = 64
 # a dense stack holds at most this many pair-matrix floats (1 MB) per array
 _DENSE_ELEMENTS = 1 << 17
 
@@ -72,34 +86,44 @@ def _pair_matrix(theta, fn) -> np.ndarray:
     return _zero_diagonal(np.asarray(fn(x), dtype=float))
 
 
-_CHEB_ANGLES = (2 * np.arange(_CHEB_NODES) + 1) * np.pi / (2 * _CHEB_NODES)
-# first-kind nodes on [-1, 1] and their barycentric weights
-_CHEB_T = np.cos(_CHEB_ANGLES)
-_CHEB_W = np.where(np.arange(_CHEB_NODES) % 2, -1.0, 1.0) * np.sin(_CHEB_ANGLES)
-# values at the nodes -> Chebyshev coefficients
-_CHEB_DCT = np.cos(np.outer(np.arange(_CHEB_NODES), _CHEB_ANGLES)) * (2.0 / _CHEB_NODES)
-_CHEB_DCT[0] /= 2.0
+def _cheb_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p first-kind Chebyshev nodes on [-1, 1], their barycentric
+    weights, and the matrix that takes values at the nodes to Chebyshev
+    coefficients."""
+    angles = (2 * np.arange(p) + 1) * np.pi / (2 * p)
+    dct = np.cos(np.outer(np.arange(p), angles)) * (2.0 / p)
+    dct[0] /= 2.0
+    return np.cos(angles), np.where(np.arange(p) % 2, -1.0, 1.0) * np.sin(angles), dct
+
+
+_CHEB = {p: _cheb_tables(p) for p in _CHEB_LADDER}
+
+
+def _cheb_nodes(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p Chebyshev nodes over each [min x, max x] of stacked points x
+    (..., n), as (..., p), and the mask of the axes of zero width."""
+    lo, hi = x.min(axis=-1), x.max(axis=-1)
+    nodes = 0.5 * (lo + hi)[..., None] + 0.5 * (hi - lo)[..., None] * _CHEB[p][0]
+    return nodes, lo == hi
 
 
 def _barycentric(
-    x: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L^T, nodes) for stacked points x (..., n): the Chebyshev nodes over
-    each [min x, max x] (..., p), and L^T (..., p, n), whose column j holds
-    the weights that interpolate values at the nodes to the point x[..., j],
-    written into out when given.  A point on a node gets a one-hot column,
-    1 on that node.  An axis of zero width (every axis of the start
-    theta = 0) has p coinciding nodes, and its L^T is written directly as
-    one-hot on node 0 in every column, without the passes over its entries;
-    the passes run only on stacks with an axis of nonzero width."""
-    lo, hi = x.min(axis=-1, keepdims=True), x.max(axis=-1, keepdims=True)
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
-    flat = lo[..., 0] == hi[..., 0]
-    lt = np.empty(x.shape[:-1] + (_CHEB_NODES, x.shape[-1])) if out is None else out
+    x: np.ndarray, nodes: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """L^T (..., p, n) for stacked points x (..., n) and their nodes and
+    zero-width mask from _cheb_nodes: column j holds the weights that
+    interpolate values at the nodes to the point x[..., j], written into
+    out when given.  A point on a node gets a one-hot column, 1 on that
+    node.  An axis of zero width (every axis of the start theta = 0) has p
+    coinciding nodes, and its L^T is written directly as one-hot on node 0
+    in every column, without the passes over its entries; the passes run
+    only on stacks with an axis of nonzero width."""
+    p = nodes.shape[-1]
+    lt = np.empty(x.shape[:-1] + (p, x.shape[-1])) if out is None else out
     if not flat.all():
         with np.errstate(divide="ignore", invalid="ignore"):
             np.subtract(x[..., None, :], nodes[..., :, None], out=lt)
-            np.divide(_CHEB_W[:, None], lt, out=lt)
+            np.divide(_CHEB[p][1][:, None], lt, out=lt)
             # the weights' sum is finite unless the point lies on a node
             total = lt.sum(axis=-2, keepdims=True)
             lt /= total
@@ -110,7 +134,7 @@ def _barycentric(
             lt[(*batch, near, point)] = 1.0
     lt[flat] = 0.0
     lt[flat, 0] = 1.0
-    return lt, nodes
+    return lt
 
 
 def _cheb_resolved(c: np.ndarray) -> np.ndarray:
@@ -120,15 +144,16 @@ def _cheb_resolved(c: np.ndarray) -> np.ndarray:
     and columns decide most grids, as their largest entry bounds the largest
     coefficient from below; only the grids they leave open are transformed
     whole."""
-    ends = _CHEB_DCT[[0, -2, -1]]
+    dct = _CHEB[c.shape[-1]][2]
+    ends = dct[[0, -2, -1]]
     # coefficient rows and columns 0, p-2 and p-1, each as three rows
-    rows = np.abs(ends @ c @ _CHEB_DCT.T)
-    edges = np.maximum(rows, np.abs(_t(_CHEB_DCT @ (c @ ends.T))))
+    rows = np.abs(ends @ c @ dct.T)
+    edges = np.maximum(rows, np.abs(_t(dct @ (c @ ends.T))))
     tail = edges[..., 1:, :].max(axis=(-2, -1))
     resolved = np.asarray(tail <= _CHEB_TAIL * edges[..., 0, :].max(axis=-1))
     left = ~resolved
     if left.any():
-        coef = np.abs(_CHEB_DCT @ c[left] @ _CHEB_DCT.T)
+        coef = np.abs(dct @ c[left] @ dct.T)
         resolved[left] = tail[left] <= _CHEB_TAIL * coef.max(axis=(-2, -1))
     return resolved
 
@@ -161,10 +186,16 @@ class _DensePairs:
 
     def sums(self):
         """The n row sums and first n-1 column sums of each matrix (the
-        sides of the 2n-1 used moment equations), and its last column sum."""
+        sides of the 2n-1 used moment equations), and its last column sum.
+        The column sums are one BLAS vector-matrix product per matrix, as
+        the compressed backend takes them: numpy's sum down a column adds
+        one term at a time (3.0e-11 off math.fsum at theta = 0, n = 2000,
+        against 5.3e-12 this way), and its pairwise sum along the rows of a
+        transposed copy paid 3 to 11 times the sum for the copy."""
         m, n = self.m, self.m.shape[-1]
-        sides = np.concatenate([m.sum(axis=-1), m.sum(axis=-2)[..., : n - 1]], axis=-1)
-        return sides, m[..., :, -1].sum(axis=-1)
+        cols = _vecmat(np.ones(m.shape[:-1]), m)
+        sides = np.concatenate([m.sum(axis=-1), cols[..., : n - 1]], axis=-1)
+        return sides, cols[..., n - 1]
 
     def bernoulli(self) -> "_DensePairs":
         return _DensePairs(self.m * (1.0 - self.m))
@@ -226,10 +257,9 @@ class _ChebPairs:
         return _ChebPairs(*(_compact(a, rows) for a in arrays))
 
 
-def _cheb_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Room for the compressed stacks of the given number of rows: L^T
-    (rows, 2, p, n) and the mu, mu' and mu(1-mu) grids (3, rows, p, p)."""
-    p = _CHEB_NODES
+def _cheb_buffers(rows: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Room for a compressed stack of the given number of rows on p nodes:
+    L^T (rows, 2, p, n) and the mu, mu' and mu(1-mu) grids (3, rows, p, p)."""
     return np.empty((rows, 2, p, n)), np.empty((3, rows, p, p))
 
 
@@ -241,45 +271,51 @@ def _dense_rows(n: int) -> int:
 # The harness fits its replications in blocks of _block_size(n) rows, sized
 # by what a block of the Newton core holds, which bounds the harness's extra
 # memory whatever n is.  Below _DENSE_BELOW a block is one dense stack.
-# From there a row is compressed: it holds its L^T (2 p n floats, p =
-# _CHEB_NODES) and its three p x p grids (_cheb_buffers), and a block at
-# most _CHEB_BLOCK_FLOATS of those (2 MB: 27 rows at n = 100, 16 at n = 200,
-# 3 at n = 1000); its rows whose box is too wide go dense (_dense_rows).
+# From there a row is compressed: on the first rung, p = _CHEB_LADDER[0], it
+# holds its L^T (2 p n floats) and its three p x p grids (_cheb_buffers), and
+# a block at most _CHEB_BLOCK_FLOATS of those (2 MB: 40 rows at n = 100, 23
+# at n = 200, 5 at n = 1000).  Rows that need a later rung get its buffers
+# when they occur, and rows whose box is too wide for every rung go dense
+# (_dense_rows).
 _CHEB_BLOCK_FLOATS = 1 << 18
 
 
 def _block_size(n: int) -> int:
     if n < _DENSE_BELOW:
         return _dense_rows(n)
-    p = _CHEB_NODES
+    p = _CHEB_LADDER[0]
     return max(1, _CHEB_BLOCK_FLOATS // (2 * p * n + 3 * p * p))
 
 
-def _cheb_iterate(free: np.ndarray, fns, buf) -> tuple[np.ndarray, tuple]:
-    """(resolved, (mu, mu')): the mask of the rows of stacked free
-    coordinates whose mu, mu' and mu(1-mu) grids _CHEB_NODES nodes resolve,
-    and the compressed stacks of those rows, written into the front of the
-    buffers buf from _cheb_buffers.  Both stacks are built up front,
-    because their grids' tails decide the backend."""
-    R, n = free.shape[0], (free.shape[-1] + 1) // 2
-    ab = np.zeros((R, 2, n))
-    ab[:, 0] = free[:, :n]
-    ab[:, 1, : n - 1] = free[:, n:]
-    lt, nodes = _barycentric(ab, buf[0][:R])
+def _cheb_iterate(ab: np.ndarray, fns, p: int, buf: dict) -> tuple[np.ndarray, tuple]:
+    """(resolved, (mu, mu')) for stacked boxes ab (R, 2, n), each row's alpha
+    and beta (beta_n = 0): the mask of the rows whose mu, mu' and mu(1-mu)
+    grids p nodes resolve, and the compressed stacks of those rows.  The
+    grids are evaluated and tested first, and L^T is built only for the rows
+    they pass.  Both live in the front of buf[p] (_cheb_buffers), which is
+    allocated when it is missing or has too few rows."""
+    R, n = ab.shape[0], ab.shape[-1]
+    if p not in buf or len(buf[p][0]) < R:
+        buf[p] = _cheb_buffers(R, n, p)
+    nodes, flat = _cheb_nodes(ab, p)
     # the mu, mu' and mu(1-mu) grids, filled into one array for the tail
     # check; the third slot holds the node sums until mu and mu' are filled
-    grids = buf[1][:, :R]
+    grids = buf[p][1][:, :R]
     grid = np.add(nodes[:, 0, :, None], nodes[:, 1, None, :], out=grids[2])
     for k, fn in enumerate(fns):
         grids[k] = fn(grid)
     np.subtract(1.0, grids[0], out=grids[2])
     grids[2] *= grids[0]
     resolved = _cheb_resolved(grids).all(axis=0)
-    diag = ab[:, 0] + ab[:, 1]
-    if not resolved.all():
-        narrow = np.flatnonzero(resolved)
-        lt, grids, diag = _compact(lt, narrow), grids[:, narrow], diag[narrow]
+    narrow = np.flatnonzero(resolved)
+    if narrow.size < R:
+        for g in grids:
+            _compact(g, narrow)
+        grids = grids[:, : narrow.size]
+        ab, nodes, flat = ab[narrow], nodes[narrow], flat[narrow]
+    lt = _barycentric(ab, nodes, flat, buf[p][0][: narrow.size])
     ones = lt.sum(axis=-1)
+    diag = ab[:, 0] + ab[:, 1]
     return resolved, tuple(
         _ChebPairs(lt, ones, grids[k], np.asarray(fn(diag), dtype=float))
         for k, fn in enumerate(fns)
@@ -288,11 +324,12 @@ def _cheb_iterate(free: np.ndarray, fns, buf) -> tuple[np.ndarray, tuple]:
 
 class _Pairs:
     """Pair matrices with zero diagonal for stacked rows, held in at most
-    one compressed stack and some dense ones.  A lone stack serves every
-    row (and a stack with one row is shared by every row it is applied to);
-    otherwise stack k serves the rows rows[k], in ascending order.  buf holds
-    the buffers the compressed stack lives in (None below _DENSE_BELOW),
-    which the next iterate's operator may overwrite.
+    one compressed stack per rung of _CHEB_LADDER and some dense ones.  A
+    lone stack serves every row (and a stack with one row is shared by every
+    row it is applied to); otherwise stack k serves the rows rows[k], in
+    ascending order.  buf holds the buffers the compressed stacks live in,
+    keyed by node count (None below _DENSE_BELOW), which the next iterate's
+    operator may overwrite.
 
     At an iterate, mu() and mu_prime() give the pair matrices of mu and mu';
     those give sums() (equation sums and boundary sum), bernoulli() (the
@@ -302,7 +339,7 @@ class _Pairs:
     W[:, :n-1] p_b and p_a W[:, :n-1] per row).
     """
 
-    def __init__(self, stacks: list, rows: list | None = None, buf=None):
+    def __init__(self, stacks: list, rows: list | None = None, buf: dict | None = None):
         self.stacks, self.rows, self.buf = stacks, rows, buf
 
     def mu(self) -> "_Pairs":
@@ -353,24 +390,30 @@ class _Pairs:
             out[r] = q
 
 
-def _pairs(free: np.ndarray, model: EdgeMeanModel, buf=None) -> _Pairs:
+def _pairs(free: np.ndarray, model: EdgeMeanModel, buf: dict | None = None) -> _Pairs:
     """The pair operator at stacked free coordinates: dense below
-    _DENSE_BELOW nodes, else compressed on the rows whose box allows it and
-    dense on the others, in stacks of _dense_rows(n) rows.  The compressed
-    stacks are written into the buffers buf if they have the rows."""
+    _DENSE_BELOW nodes, else compressed on the first rung of _CHEB_LADDER
+    whose nodes resolve a row's box, and dense on the rows no rung resolves,
+    in stacks of _dense_rows(n) rows.  The compressed stacks are written
+    into the buffers buf (by node count), which gain what they lack."""
     fns = (model.mu, model.mu_prime)
     R, n = free.shape[0], (free.shape[-1] + 1) // 2
     if n < _DENSE_BELOW:
         return _Pairs([_DenseIterate(free, fns)])
-    if buf is None or len(buf[0]) < R:
-        buf = _cheb_buffers(R, n)
-    resolved, cheb = _cheb_iterate(free, fns, buf)
-    if resolved.all():
-        return _Pairs([cheb], None, buf)
-    wide = np.flatnonzero(~resolved)
+    buf = {} if buf is None else buf
+    ab = np.zeros((R, 2, n))
+    ab[:, 0] = free[:, :n]
+    ab[:, 1, : n - 1] = free[:, n:]
+    stacks, rows, left = [], [], np.arange(R)
+    for p in _CHEB_LADDER:
+        if left.size:
+            resolved, cheb = _cheb_iterate(ab, fns, p, buf)
+            if resolved.any():
+                stacks.append(cheb)
+                rows.append(left[resolved])
+            left, ab = left[~resolved], ab[~resolved]
     size = _dense_rows(n)
-    rows = [wide[k : k + size] for k in range(0, wide.size, size)]
-    stacks = [_DenseIterate(free[r], fns) for r in rows]
-    if wide.size < R:
-        stacks, rows = [cheb, *stacks], [np.flatnonzero(resolved), *rows]
+    for k in range(0, left.size, size):
+        stacks.append(_DenseIterate(free[left[k : k + size]], fns))
+        rows.append(left[k : k + size])
     return _Pairs(stacks, rows if len(stacks) > 1 else None, buf)

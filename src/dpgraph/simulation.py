@@ -13,11 +13,12 @@ pinned beta*_n = 0.  L and epsilon are named schedules resolved against n
 
 Replications run in blocks of pairs._block_size(n) rows, sized by what a
 block of the fit holds: its dense n x n pair arrays below pairs._DENSE_BELOW
-nodes, its compressed rows (O(32 n) floats each) from there; with several
-workers a block has at most ceil(reps / workers) rows, so each worker gets
-one.  Within a block each replication still samples its graph and its
-noise on its own stream, in the order a lone replication would; then the
-whole block is fitted by one stacked Newton solve
+nodes, its compressed rows (O(p n) floats each, p = 24 nodes on the first
+rung of the ladder) from there; with several workers a block has at most
+ceil(reps / workers) rows, so each worker gets one.  Within a block each
+replication still samples its graph and its noise on its own stream, in
+the order a lone replication would; then the whole block is fitted by one
+stacked Newton solve
 (estimator._newton_block, of which newton_solve is the one-row case), and
 the variances, statistics and intervals are vectorized over the block.
 The stacked solve never mixes rows: its work is elementwise, reductions

@@ -345,12 +345,20 @@ def dense_backend(free, model):
     return pairs._Pairs([pairs._DenseIterate(free[None], (model.mu, model.mu_prime))])
 
 
-def compressed_backend(free, model):
-    """The compressed operator of one row, or None when its box is too wide
-    for the nodes."""
-    buf = pairs._cheb_buffers(1, (free.size + 1) // 2)
-    resolved, stack = pairs._cheb_iterate(free[None], (model.mu, model.mu_prime), buf)
+def compressed_backend(free, model, p):
+    """The compressed operator of one row on p nodes, or None when its box
+    is too wide for them."""
+    n = (free.size + 1) // 2
+    ab = np.zeros((1, 2, n))
+    ab[0, 0], ab[0, 1, : n - 1] = free[:n], free[n:]
+    resolved, stack = pairs._cheb_iterate(ab, (model.mu, model.mu_prime), p, {})
     return pairs._Pairs([stack]) if resolved[0] else None
+
+
+def rung(op):
+    """The node count of each stack of an operator, or "dense"."""
+    return ["dense" if isinstance(s, pairs._DenseIterate) else s[0].lt.shape[-2]
+            for s in op.stacks]
 
 
 def assert_backends_agree(got, want, n, rng):
@@ -377,7 +385,7 @@ class TestPairOperator:
 
     @settings(max_examples=16, deadline=None, database=None, derandomize=True)
     @given(
-        half_width=st.sampled_from([0.2, 1.5, 2.2, 3.0]),
+        half_width=st.sampled_from([0.2, 1.0, 1.5, 2.2, 3.0]),
         n=st.sampled_from([100, 300, 2000]),
         model_name=st.sampled_from(["probit", "logit"]),
         center=st.floats(-1.0, 1.0),
@@ -388,37 +396,45 @@ class TestPairOperator:
 
         model = get_model(model_name)
         free = box_free(n, half_width, seed, center)
-        row = compressed_backend(free, model)
-        # 32 nodes resolve mu, mu' and mu(1-mu) up to half-width 1.5; at 3
-        # the trailing coefficients of mu(1-mu) reach 1e-11 to 1e-10, so
-        # the row is dense
+        dense = dense_backend(free, model)
+        rows = {p: compressed_backend(free, model, p) for p in pairs._CHEB_LADDER}
+        # 24 nodes resolve mu, mu' and mu(1-mu) up to half-width 1.0, and
+        # 32 up to 1.5; at 3 the trailing coefficients of mu(1-mu) reach
+        # 1e-11 to 1e-10 on every rung, so the row is dense
+        if half_width <= 1.0:
+            assert rows[24] is not None
         if half_width <= 1.5:
-            assert row is not None
+            assert rows[32] is not None
         if half_width == 3.0:
-            assert row is None
-        if row is not None:
-            assert_backends_agree(row, dense_backend(free, model), n,
-                                  np.random.default_rng(seed))
+            assert set(rows.values()) == {None}
+        for row in rows.values():
+            if row is not None:
+                assert_backends_agree(row, dense, n, np.random.default_rng(seed))
+        # the operator takes the first rung that resolves the row
+        first = next((p for p, row in rows.items() if row is not None), "dense")
+        assert rung(pairs._pairs(free[None], model)) == [first]
 
+    @pytest.mark.parametrize("p", pairs._CHEB_LADDER)
     @pytest.mark.parametrize("which", ["both", "beta"])
-    def test_zero_width_box_is_exact(self, which):
+    def test_zero_width_box_is_exact(self, which, p):
         n = 300
         free = np.zeros(2 * n - 1)
         if which == "beta":
             free[:n] = np.linspace(-1.0, 1.0, n)
-        row = compressed_backend(free, PROBIT)
+        row = compressed_backend(free, PROBIT, p)
         stack = row.mu().stacks[0]
         la, lb = stack.lt[0].swapaxes(-1, -2)
-        # a zero-width axis has 32 coincident nodes, and every point reads
+        # a zero-width axis has p coincident nodes, and every point reads
         # the first one
-        one_node = np.zeros((n, 32))
+        one_node = np.zeros((n, p))
         one_node[:, 0] = 1.0
         assert np.array_equal(lb, one_node)
         assert np.array_equal(la, one_node) == (which == "both")
         assert_backends_agree(row, dense_backend(free, PROBIT), n,
                               np.random.default_rng(0))
 
-    def test_mixed_stack_matches_each_axis_alone(self):
+    @pytest.mark.parametrize("p", pairs._CHEB_LADDER)
+    def test_mixed_stack_matches_each_axis_alone(self, p):
         # a zero-width axis, an axis with one point on a node and a generic
         # axis, stacked as _cheb_iterate stacks them: each axis's L^T and
         # nodes equal those of the axis built alone, bit for bit
@@ -427,21 +443,22 @@ class TestPairOperator:
         x = np.zeros((2, 2, n))
         x[0, 1] = x[1, 0] = rng.uniform(-1.0, 1.0, n)
         x[0, 1, 0], x[0, 1, -1] = -1.0, 1.0
-        x[0, 1, 7] = pairs._CHEB_T[5]  # node 5 of the box [-1, 1]
-        lt, nodes = pairs._barycentric(x)
+        x[0, 1, 7] = pairs._CHEB[p][0][5]  # node 5 of the box [-1, 1]
+        nodes, flat = pairs._cheb_nodes(x, p)
+        lt = pairs._barycentric(x, nodes, flat)
         for r, a in np.ndindex(2, 2):
-            lt_alone, nodes_alone = pairs._barycentric(x[r, a][None])
+            nodes_alone, flat_alone = pairs._cheb_nodes(x[r, a][None], p)
+            lt_alone = pairs._barycentric(x[r, a][None], nodes_alone, flat_alone)
             np.testing.assert_array_equal(lt[r, a], lt_alone[0])
             np.testing.assert_array_equal(nodes[r, a], nodes_alone[0])
-        assert np.array_equal(lt[1, 1], np.eye(32)[[0] * n].T)
-        np.testing.assert_array_equal(lt[0, 1, :, 7], np.eye(32)[5])
+        assert np.array_equal(lt[1, 1], np.eye(p)[[0] * n].T)
+        np.testing.assert_array_equal(lt[0, 1, :, 7], np.eye(p)[5])
         assert np.all(np.isfinite(lt))
 
     def test_start_operator_matches_dense_at_n_2000(self):
-        # theta = 0: both axes have zero width, so every L^T is one-hot.
-        # numpy adds a column of the dense matrix one term at a time, which
-        # here drifts by 3e-11, so the sums are checked against math.fsum of
-        # the dense rows and columns
+        # theta = 0: both axes have zero width, so every L^T is one-hot;
+        # the sums are checked against math.fsum of the dense rows and
+        # columns
         n = 2000
         free = np.zeros(2 * n - 1)
         op = pairs._pairs(free[None], PROBIT)
@@ -460,17 +477,18 @@ class TestPairOperator:
         dense.mu_prime().products(p, q_want)
         np.testing.assert_allclose(q_got, q_want, rtol=0, atol=1e-14 * n)
 
-    def test_strength_on_a_node_gets_a_one_hot_row(self):
+    @pytest.mark.parametrize("p", pairs._CHEB_LADDER)
+    def test_strength_on_a_node_gets_a_one_hot_row(self, p):
         n = 300
         free = box_free(n, 1.0, 4)
         lo, hi = free[:n].min(), free[:n].max()
-        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * pairs._CHEB_T
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * pairs._CHEB[p][0]
         free[7], free[8] = nodes[5], nodes[20]
-        row = compressed_backend(free, PROBIT)
+        row = compressed_backend(free, PROBIT, p)
         la = row.mu().stacks[0].lt[0, 0].T
         assert np.all(np.isfinite(la))
-        np.testing.assert_array_equal(la[7], np.eye(32)[5])
-        np.testing.assert_array_equal(la[8], np.eye(32)[20])
+        np.testing.assert_array_equal(la[7], np.eye(p)[5])
+        np.testing.assert_array_equal(la[8], np.eye(p)[20])
         assert_backends_agree(row, dense_backend(free, PROBIT), n,
                               np.random.default_rng(1))
 
@@ -481,7 +499,7 @@ class TestPairOperator:
         model = get_model(model_name)
         n = 300
         free = box_free(n, 5.0, 2)
-        assert compressed_backend(free, model) is None
+        assert all(compressed_backend(free, model, p) is None for p in pairs._CHEB_LADDER)
         op = pairs._pairs(np.stack([free, box_free(n, 0.5, 3)]), model)
         cheb, dense = op.stacks
         assert isinstance(dense, pairs._DenseIterate)
@@ -489,24 +507,27 @@ class TestPairOperator:
         assert [r.tolist() for r in op.rows] == [[1], [0]]
 
     def test_unresolved_bernoulli_grid_alone_falls_back(self):
-        # at half-width 2.5 the probit mu and mu' grids are resolved, but
-        # Phi(1 - Phi) is not, and the variance sums would be off
+        # at half-width 2.5 the probit mu and mu' grids on 32 nodes are
+        # resolved, but Phi(1 - Phi) is not, and the variance sums would be
+        # off; no rung resolves the row, so it goes dense
         n = 300
         free = box_free(n, 2.5, 6)
-        la, nodes_a = pairs._barycentric(free[None, :n])
-        lb, nodes_b = pairs._barycentric(np.append(free[n:], 0.0)[None])
+        nodes_a, _ = pairs._cheb_nodes(free[None, :n], 32)
+        nodes_b, _ = pairs._cheb_nodes(np.append(free[n:], 0.0)[None], 32)
         grid = nodes_a[0, :, None] + nodes_b[0, None, :]
         mu, mu_prime = PROBIT.mu(grid), PROBIT.mu_prime(grid)
         assert pairs._cheb_resolved(mu) and pairs._cheb_resolved(mu_prime)
         assert not pairs._cheb_resolved(mu * (1.0 - mu))
-        assert compressed_backend(free, PROBIT) is None
+        assert all(compressed_backend(free, PROBIT, p) is None for p in pairs._CHEB_LADDER)
+        assert rung(pairs._pairs(free[None], PROBIT)) == ["dense"]
 
     def test_stacked_rows_of_different_widths_match_dense(self):
         n = 100
         widths = (0.2, 0.8, 1.5, 2.2)
         free = np.stack([box_free(n, h, 10 + k) for k, h in enumerate(widths)])
         op = pairs._pairs(free, PROBIT)
-        assert op.rows is None and isinstance(op.stacks[0][0], pairs._ChebPairs)
+        # the two narrow rows on 24 nodes, the two wider ones on 32
+        assert rung(op) == [24, 32] and [r.tolist() for r in op.rows] == [[0, 1], [2, 3]]
         rng = np.random.default_rng(5)
         p = rng.standard_normal((len(widths), 2 * n - 1))
         tol = 1e-14 * n
@@ -563,6 +584,49 @@ class TestPairOperator:
         assert [r.tolist() for r in kept.rows] == [[1], [0, 2]]
         for k, r in enumerate((1, 2, 3)):
             same_row(kept.sums(), k, lone[r].mu_prime().sums())
+
+    def test_one_block_with_every_rung_serves_each_row_as_if_alone(self):
+        # rows 1 and 3 on 24 nodes, rows 0 and 4 on 32, row 2 dense: each
+        # row's sums, Bernoulli sums and products equal those of its lone
+        # operator bit for bit, and the lone operator takes the same rung
+        n = 100
+        widths = (1.5, 0.5, 5.0, 1.0, 2.0)
+        free = np.stack([box_free(n, h, 40 + k) for k, h in enumerate(widths)])
+        op = pairs._pairs(free, PROBIT)
+        assert rung(op) == [24, 32, "dense"]
+        assert [r.tolist() for r in op.rows] == [[1, 3], [0, 4], [2]]
+        p = np.random.default_rng(7).standard_normal((5, 2 * n - 1))
+        q = {which: np.empty_like(p) for which in ("mu", "mu_prime")}
+        for which in q:
+            getattr(op, which)().products(p, q[which])
+        got = {"mu": op.mu().sums(), "mu_prime": op.mu_prime().sums(),
+               "bernoulli": op.mu().bernoulli().sums()}
+        for r, stack in ((0, 1), (1, 0), (2, 2), (3, 0), (4, 1)):
+            alone = pairs._pairs(free[r : r + 1], PROBIT)
+            assert rung(alone) == [rung(op)[stack]]
+            want = {"mu": alone.mu().sums(), "mu_prime": alone.mu_prime().sums(),
+                    "bernoulli": alone.mu().bernoulli().sums()}
+            for key in got:
+                for a, b in zip(got[key], want[key]):
+                    assert np.array_equal(a[r], b[0])
+            for which in q:
+                qa = np.empty((1, 2 * n - 1))
+                getattr(alone, which)().products(p[r : r + 1], qa)
+                assert np.array_equal(q[which][r], qa[0])
+
+    @pytest.mark.parametrize("half_width", [0.0, 1.0])
+    def test_dense_sums_match_fsum_at_n_2000(self, half_width):
+        # summed down each column one term at a time, the column sums
+        # drifted 3.0e-11 from math.fsum at theta = 0
+        n = 2000
+        free = box_free(n, half_width, 9)
+        dense = dense_backend(free, PROBIT)
+        for op in (dense.mu(), dense.mu_prime(), dense.mu().bernoulli()):
+            m = op.stacks[0].m[0]
+            exact = [math.fsum(v) for v in (*m, *m.T)]
+            sides, last = op.sums()
+            np.testing.assert_allclose(np.append(sides[0], last), exact,
+                                       rtol=0, atol=1e-14 * n)
 
     def test_small_n_stays_dense(self):
         n = pairs._DENSE_BELOW - 1

@@ -576,28 +576,29 @@ class TestBlockSizes:
     """Blocks are sized by what a block of the fit holds."""
 
     def test_dense_rows_keep_the_dense_budget(self):
-        for n in (24, 64, pairs._DENSE_BELOW - 1):
+        for n in (24, 48, pairs._DENSE_BELOW - 1):
             assert simulation._block_size(n) == pairs._DENSE_ELEMENTS // (n * n)
-        assert simulation._block_size(64) == 32
+        assert simulation._block_size(48) == 56
 
     def test_compressed_rows_by_their_footprint(self):
         n_grid = (pairs._DENSE_BELOW, 100, 200, 1000)
-        assert [simulation._block_size(n) for n in n_grid] == [28, 27, 16, 3]
+        assert [simulation._block_size(n) for n in n_grid] == [54, 40, 23, 5]
         assert simulation._block_size(10**4) == 1
 
     def test_every_worker_gets_a_block(self):
         for reps, workers, blocks in ((30, 2, [range(0, 15), range(15, 30)]),
                                       (20, 2, [range(0, 10), range(10, 20)]),
-                                      (30, 1, [range(0, 27), range(27, 30)]),
-                                      (60, 2, [range(0, 27), range(27, 54),
-                                               range(54, 60)])):
+                                      (45, 1, [range(0, 40), range(40, 45)]),
+                                      (90, 2, [range(0, 40), range(40, 80),
+                                               range(80, 90)])):
             cfg = ExperimentConfig(n=100, reps=reps)
             assert simulation._blocks(cfg, workers) == blocks
 
     def test_anchor_block_holds_one_lt_stack(self):
-        # a compressed row's L^T is 2 * 32 * 100 floats (50 KB) and its
-        # three grids 24 KB: with one L^T stack per block, the traced peak
-        # of an anchor block stays below three L^T stacks (150 KB) a row
+        # a compressed row's L^T on 32 nodes is 2 * 32 * 100 floats (50 KB)
+        # and its three grids 24 KB (38 KB and 14 KB on 24 nodes): with one
+        # L^T stack per rung in a block, the traced peak of an anchor block
+        # stays below three 32-node L^T stacks (150 KB) a row
         cfg = ExperimentConfig(n=100, eps_spec="fixed:2", reps=1000, seed=1)
         rows = simulation._block_size(cfg.n)
         simulation._run_block(cfg, range(rows))
