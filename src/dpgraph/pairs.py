@@ -191,7 +191,7 @@ class _DensePairs:
         the compressed backend takes them: numpy's sum down a column adds
         one term at a time (3.0e-11 off math.fsum at theta = 0, n = 2000,
         against 5.3e-12 this way), and its pairwise sum along the rows of a
-        transposed copy paid 3 to 11 times the sum for the copy."""
+        transposed copy paid 3 to 12 times the sum for the copy."""
         m, n = self.m, self.m.shape[-1]
         cols = _vecmat(np.ones(m.shape[:-1]), m)
         sides = np.concatenate([m.sum(axis=-1), cols[..., : n - 1]], axis=-1)
