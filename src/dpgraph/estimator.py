@@ -354,6 +354,16 @@ class _BlockFit:
         return VarianceInputs(*self.sums, _noise_sum_variance(n, privacy))
 
 
+def _plugin_sums(pairs: _Pairs) -> tuple[np.ndarray, tuple]:
+    """The mu equation sums (expected degrees) of the operator's rows, and
+    their plug-in sums (u_diag, u_2n_2n, v_diag, v_2n_2n): the equation and
+    boundary sums of mu(1-mu) and, once the mu pair matrices go, of mu'."""
+    mu = pairs.mu()
+    expected, u = mu.sums()[0], mu.bernoulli().sums()
+    mu = None
+    return expected, (*u, *pairs.mu_prime().sums())
+
+
 def _newton_block(
     zout: np.ndarray,
     zin: np.ndarray,
@@ -363,13 +373,14 @@ def _newton_block(
     """Fit the rows of (R, n) degree arrays by Newton, all rows at once.
 
     Every row follows the rules of newton_solve from the shared free-
-    coordinate start init and keeps its own outcome; a row that has
-    stopped is frozen and drops out of the stacked arrays.  Each iterate
-    builds one pair operator (_pairs) over the live rows: its mu gives the
-    residual and its mu' the next step's system.  Row r's floats do not
-    depend on the other rows.  Each existing row also keeps the plug-in
-    sums that _BlockFit.variance turns into variances, from the last
-    residual's mu and mu'.
+    coordinate start init and keeps its own outcome.  Each iterate builds
+    one pair operator (_pairs) over the rows still stepping: its mu gives
+    the residual and its mu' the next step's system.  A row stops one way:
+    it leaves the stacked arrays before the next operator is built.  Then
+    one final operator over the converged rows' estimates gives their
+    residual norms and the plug-in sums (_plugin_sums) that
+    _BlockFit.variance turns into variances.  Row r's floats do not depend
+    on the other rows.
     """
     R, n = zout.shape
     used = np.concatenate([zout, zin[:, : n - 1]], axis=1)
@@ -389,7 +400,8 @@ def _newton_block(
             reason[row] = why
 
     # the start is shared, so one operator row serves every row
-    pairs = _pairs(init[None], model)
+    buf: dict = {}
+    pairs = _pairs(init[None], model, buf)
     resid = used - pairs.mu().sums()[0]
     # each expected degree lies strictly inside (0, n-1), so a used degree
     # outside it admits no solution; summing the out-equations minus the
@@ -414,18 +426,18 @@ def _newton_block(
     res_tol = _RESIDUAL_TOL_SCALE * n
 
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        if live.size == 0:
-            break
         step, ok = _pcg_block(v_diag, v_2n_2n, w, resid)
         finish(live[~ok], "singular", it, resid[~ok], free_l[~ok])
         free_l = free_l + step
         diverged = ok & (np.abs(free_l).max(axis=1) > _DIVERGENCE_GUARD)
         finish(live[diverged], "diverged", it, resid[diverged], free_l[diverged])
         go = ok & ~diverged
-        conv = (np.abs(resid).max(axis=1) <= res_tol) | (
-            np.abs(step).max(axis=1) <= _STEP_TOL
-        )
-        live, free_l, conv = live[go], free_l[go], conv[go]
+        conv = go & ((np.abs(resid).max(axis=1) <= res_tol)
+                     | (np.abs(step).max(axis=1) <= _STEP_TOL))
+        # a converged row keeps this iterate; the final pass takes its sums
+        free[live[conv]], iterations[live[conv]] = free_l[conv], it
+        go &= ~conv
+        live, free_l, resid = live[go], free_l[go], resid[go]
         if live.size == 0:
             break
 
@@ -435,28 +447,31 @@ def _newton_block(
         # matrices are dropped, so at most one n x n block is free at a
         # time, which the allocator reuses instead of handing it back to the
         # system (the anchor cell took 3x the page faults and 0.2 s more on
-        # the dense backend when both went at once)
-        pairs = _pairs(free_l, model, w.buf)
+        # the dense backend when both went at once); the final pass keeps
+        # this order
+        pairs = _pairs(free_l, model, buf)
         w = None
-        mu = pairs.mu()
-        resid = used[live] - mu.sums()[0]
+        resid = used[live] - pairs.mu().sums()[0]
         if not np.all(np.isfinite(resid)):
             raise NumericalFailure(f"non-finite residual at iteration {it}")
-        finish(live[conv], None, it, resid[conv], free_l[conv])
-        if conv.any():
-            u_diag, u_2n_2n = mu.bernoulli().sums()
-            sums[0][live[conv]], sums[1][live[conv]] = u_diag[conv], u_2n_2n[conv]
-        mu = None
-        # mu' on every row: the next system of the rows that step again, and
-        # the variance sums of the converged ones, which then leave it
         w = pairs.mu_prime()
         v_diag, v_2n_2n = w.sums()
-        sums[2][live[conv]], sums[3][live[conv]] = v_diag[conv], v_2n_2n[conv]
-        w, v_diag, v_2n_2n = w.take(~conv), v_diag[~conv], v_2n_2n[~conv]
         pairs = None
-        live, free_l, resid = live[~conv], free_l[~conv], resid[~conv]
 
     finish(live, "max_iter", _NEWTON_MAX_ITER, resid, free_l)
+    # every other row has its reason by now
+    done = np.flatnonzero([why is None for why in reason])
+    if done.size:
+        pairs = _pairs(free[done], model, buf)
+        w = None
+        expected, done_sums = _plugin_sums(pairs)
+        resid = used[done] - expected
+        if not np.all(np.isfinite(resid)):
+            it = iterations[done].max()
+            raise NumericalFailure(f"non-finite residual at iteration {it}")
+        residual_norm[done] = np.abs(resid).max(axis=1)
+        for s, d in zip(sums, done_sums):
+            s[done] = d
     return _BlockFit(free, reason, iterations, residual_norm, sums)
 
 
@@ -486,7 +501,7 @@ def newton_solve(
     simulation harness's blocks of replications.  An existing estimate
     carries its plug-in variances, equal to what variance_estimates gives
     at it (with the noise term of a NoisyBiDegree release), taken from the
-    pair sums of the last residual's iterate.
+    pair sums of the final pass at the estimate.
 
     Raises NumericalFailure if a residual evaluates to a non-finite value.
     """
@@ -605,18 +620,11 @@ def variance_estimates(
     privacy: PrivacyParams | None = None,
 ) -> VarianceInputs:
     """Estimate the asymptotic-variance building blocks at theta_hat: the
-    sums that newton_solve takes from its last iterate, here from the pair
-    operator at one given point."""
-    pairs = _pairs(theta_hat.to_free()[None], model)
-    u_diag, u_2n_2n = pairs.mu().bernoulli().sums()
-    v_diag, v_2n_2n = pairs.mu_prime().sums()
-    return VarianceInputs(
-        u_diag[0],
-        float(u_2n_2n[0]),
-        v_diag[0],
-        float(v_2n_2n[0]),
-        _noise_sum_variance(theta_hat.n, privacy),
-    )
+    one-row case of the final pass of newton_solve, which takes the same
+    sums (_plugin_sums) at its estimate."""
+    _, sums = _plugin_sums(_pairs(theta_hat.to_free()[None], model))
+    noise = _noise_sum_variance(theta_hat.n, privacy)
+    return VarianceInputs(*(s[0] for s in sums), noise)
 
 
 def _require_variance(fit: FitResult) -> np.ndarray:

@@ -46,9 +46,9 @@ anchor-style releases (flat probit truth, epsilon = 2):
   depend on how many rows share its block.
 
 A block holds one compressed stack per rung: each iterate's L^T and grids
-are written into the buffers of the operator they replace (_Pairs.buf),
-and rows whose fit stops leave by in-place compaction (_compact), which
-copies whole rows and so keeps their floats.
+are written into the buffers of the operator they replace (the buf of
+_pairs).  A row whose fit stops is left out of the next operator; no
+operator is ever cut down to some of its rows.
 """
 
 from __future__ import annotations
@@ -206,9 +206,6 @@ class _DensePairs:
         np.matmul(cross, p[:, n:, None], out=out[:, :n, None])
         np.matmul(p[:, None, :n], cross, out=out[:, None, n:])
 
-    def take(self, rows: np.ndarray) -> "_DensePairs":
-        return _DensePairs(_compact(self.m, rows))
-
 
 class _DenseIterate:
     """Dense stack at one iterate: the strength sums x_ij of stacked rows of
@@ -251,10 +248,6 @@ class _ChebPairs:
         np.matmul(p[:, None, :n] @ _t(lta) @ c, ltb, out=out[:, None, n:])
         out[:, : n - 1] -= d * p[:, n:]
         out[:, n:] -= d * p[:, : n - 1]
-
-    def take(self, rows: np.ndarray) -> "_ChebPairs":
-        arrays = (self.lt, self.ones, self.c, self.d)
-        return _ChebPairs(*(_compact(a, rows) for a in arrays))
 
 
 def _cheb_buffers(rows: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,41 +320,23 @@ class _Pairs:
     one compressed stack per rung of _CHEB_LADDER and some dense ones.  A
     lone stack serves every row (and a stack with one row is shared by every
     row it is applied to); otherwise stack k serves the rows rows[k], in
-    ascending order.  buf holds the buffers the compressed stacks live in,
-    keyed by node count (None below _DENSE_BELOW), which the next iterate's
-    operator may overwrite.
+    ascending order.
 
     At an iterate, mu() and mu_prime() give the pair matrices of mu and mu';
     those give sums() (equation sums and boundary sum), bernoulli() (the
-    pair matrices of mu(1-mu), from those of mu), take(keep) (a subset of
-    the rows, compacted in place, which spends the other operators of the
-    iterate) and products(p, out) (the two cross-block products
-    W[:, :n-1] p_b and p_a W[:, :n-1] per row).
+    pair matrices of mu(1-mu), from those of mu) and products(p, out) (the
+    two cross-block products W[:, :n-1] p_b and p_a W[:, :n-1] per row),
+    always over all the rows the operator was built for.
     """
 
-    def __init__(self, stacks: list, rows: list | None = None, buf: dict | None = None):
-        self.stacks, self.rows, self.buf = stacks, rows, buf
+    def __init__(self, stacks: list, rows: list | None = None):
+        self.stacks, self.rows = stacks, rows
 
     def mu(self) -> "_Pairs":
-        return _Pairs([stack[0] for stack in self.stacks], self.rows, self.buf)
+        return _Pairs([stack[0] for stack in self.stacks], self.rows)
 
     def mu_prime(self) -> "_Pairs":
-        return _Pairs([stack[1] for stack in self.stacks], self.rows, self.buf)
-
-    def take(self, keep: np.ndarray) -> "_Pairs":
-        """The rows where the boolean mask keep holds."""
-        if keep.all():
-            return self
-        if self.rows is None:
-            return _Pairs([self.stacks[0].take(np.flatnonzero(keep))], None, self.buf)
-        renumber = np.cumsum(keep) - 1
-        stacks, rows = [], []
-        for stack, r in zip(self.stacks, self.rows):
-            mine = keep[r]
-            if mine.any():
-                stacks.append(stack.take(np.flatnonzero(mine)))
-                rows.append(renumber[r[mine]])
-        return _Pairs(stacks, rows if len(stacks) > 1 else None, self.buf)
+        return _Pairs([stack[1] for stack in self.stacks], self.rows)
 
     def bernoulli(self) -> "_Pairs":
         return _Pairs([stack.bernoulli() for stack in self.stacks], self.rows)
@@ -416,4 +391,4 @@ def _pairs(free: np.ndarray, model: EdgeMeanModel, buf: dict | None = None) -> _
     for k in range(0, left.size, size):
         stacks.append(_DenseIterate(free[left[k : k + size]], fns))
         rows.append(left[k : k + size])
-    return _Pairs(stacks, rows if len(stacks) > 1 else None, buf)
+    return _Pairs(stacks, rows if len(stacks) > 1 else None)

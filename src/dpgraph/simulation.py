@@ -158,7 +158,8 @@ class ExperimentConfig:
         if not 0 <= self.seed <= _MASK64:
             raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
         resolve_L(self.L_spec, self.n)
-        resolve_epsilon(self.eps_spec, self.n)
+        # the noise law must exist at the resolved epsilon before any draw
+        PrivacyParams.from_epsilon(resolve_epsilon(self.eps_spec, self.n))
         get_model(self.model)
         if self.pairs is None:
             object.__setattr__(self, "pairs", default_pairs(self.n, self.stat_kinds))

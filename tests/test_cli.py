@@ -568,6 +568,21 @@ class TestSimulate:
         assert code == 64
         assert "logn_n12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("fixed:inf", "epsilon must be a finite positive number"),
+        ("fixed:1e-300", "epsilon too small: exp(-epsilon/2) rounds to 1"),
+    ], ids=["inf", "lambda-one"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_epsilon_without_a_noise_law_is_usage_error(self, tmp_path, monkeypatch,
+                                                        capsys, spec, message,
+                                                        workers):
+        monkeypatch.setenv("DPGRAPH_THREADS", workers)
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--n", "100", "--eps", spec, "--reps", "3",
+                       "--out", str(out)) == 64
+        assert capsys.readouterr().err == f"dpgraph: {message}\n"
+        assert not out.exists()
+
     def test_stats_dump_feeds_qq(self, tmp_path):
         dump = tmp_path / "stats.csv"
         out = tmp_path / "qq.csv"

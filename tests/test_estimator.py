@@ -573,17 +573,6 @@ class TestPairOperator:
                 qa = np.empty((1, 2 * n - 1))
                 alone.products(p[r : r + 1], qa)
                 assert np.array_equal(q[r], qa[0])
-        keep = np.array([False, False, True, True])
-        bernoulli = op.mu().take(keep).bernoulli().sums()
-        for k, r in enumerate((2, 3)):
-            same_row(bernoulli, k, lone[r].mu().bernoulli().sums())
-        # take compacts the stacks in place, spending the other operators
-        # of the iterate, so the mu' rows are taken from a fresh one
-        op = pairs._pairs(free, PROBIT)
-        kept = op.mu_prime().take(np.array([False, True, True, True]))
-        assert [r.tolist() for r in kept.rows] == [[1], [0, 2]]
-        for k, r in enumerate((1, 2, 3)):
-            same_row(kept.sums(), k, lone[r].mu_prime().sums())
 
     def test_one_block_with_every_rung_serves_each_row_as_if_alone(self):
         # rows 1 and 3 on 24 nodes, rows 0 and 4 on 32, row 2 dense: each
@@ -682,6 +671,53 @@ class TestPairOperator:
             assert np.array_equal(block.free[k], fit.theta.to_free())
             assert block.residual_norm[k] == fit.residual_norm
             for got, want in zip(block.sums, alone.sums):
+                assert np.array_equal(got[k], want[0])
+
+    @pytest.mark.parametrize("n, lone_iterations", [(40, [3, 5, 7]), (100, [3, 6, 7])],
+                             ids=["dense", "compressed"])
+    def test_rows_converging_apart_cost_what_their_lone_fits_cost(
+        self, monkeypatch, n, lone_iterations
+    ):
+        # a converged row leaves before the next operator, so it enters no
+        # later CG solve or build; it is built once more, with every other
+        # converged row, in the final pass.  A row done early within a CG
+        # solve still rides along in that solve's products, so the CG work
+        # is counted as the rows entering each solve
+        work = {}
+        build, solve = estimator._pairs, estimator._pcg_block
+
+        def count_builds(free, model, buf=None):
+            work["builds"] += len(free)
+            return build(free, model, buf)
+
+        def count_solves(v_diag, v_2n_2n, w, b):
+            work["solved"] += len(b)
+            return solve(v_diag, v_2n_2n, w, b)
+
+        monkeypatch.setattr(estimator, "_pairs", count_builds)
+        monkeypatch.setattr(estimator, "_pcg_block", count_solves)
+        rows = [expected_bidegree(random_theta(n, scale, seed), PROBIT)
+                for scale, seed in ((0.1, 1), (1.0, 2), (2.0, 3))]
+        zout = np.array([r[0] for r in rows])
+        zin = np.array([r[1] for r in rows])
+        start = np.zeros(2 * n - 1)
+        lone = []
+        for k in range(3):
+            work.update(builds=0, solved=0)
+            fit = estimator._newton_block(zout[k : k + 1], zin[k : k + 1], PROBIT, start)
+            lone.append((fit, dict(work)))
+        work.update(builds=0, solved=0)
+        block = estimator._newton_block(zout, zin, PROBIT, start)
+        assert [int(fit.iterations[0]) for fit, _ in lone] == lone_iterations
+        # the block builds the shared one-row start once, each lone fit once
+        assert work["builds"] == sum(w["builds"] for _, w in lone) - 2
+        assert work["solved"] == sum(w["solved"] for _, w in lone)
+        assert block.reason == [None] * 3
+        for k, (fit, _) in enumerate(lone):
+            assert np.array_equal(block.free[k], fit.free[0])
+            assert block.iterations[k] == fit.iterations[0]
+            assert block.residual_norm[k] == fit.residual_norm[0]
+            for got, want in zip(block.sums, fit.sums):
                 assert np.array_equal(got[k], want[0])
 
     def test_fit_at_n_20000_stays_in_o_n_memory(self, monkeypatch):

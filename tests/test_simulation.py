@@ -329,6 +329,15 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             ExperimentConfig(n=20, stat_kinds=("tau",))
 
+    @pytest.mark.parametrize("spec, message", [
+        ("fixed:inf", "finite positive"), ("fixed:1e-300", "rounds to 1"),
+    ], ids=["inf", "lambda-one"])
+    def test_epsilon_without_a_noise_law_fails_at_construction(self, spec, message):
+        # resolve_epsilon accepts both; the release law at them does not
+        # exist, and the config must say so before any block draws a graph
+        with pytest.raises(DomainError, match=message):
+            ExperimentConfig(n=100, eps_spec=spec)
+
     def test_equal_indices_rejected_for_contrasts(self):
         for kind in ("xi", "eta"):
             with pytest.raises(DomainError, match="i != j"):
