@@ -74,20 +74,44 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-# a list's items one per line, four spaces in, by the C encoder
-_LIST_ITEMS = json.JSONEncoder(separators=(",\n    ", ": "))
+def _list_items(values: list) -> str:
+    """values' items one per line, four spaces in, as json.dumps with
+    indent=2 writes a list in a flat object.  orjson writes them, except
+    those it writes otherwise than json.dumps (floats of magnitude from 1e16
+    on, or below 1e-4 but not zero, NaN, infinities, ints beyond int64,
+    strings): each goes in as null, and json.dumps writes it in its place.
+    No item orjson then writes holds a comma, so its output splits item by
+    item."""
+    import orjson  # here, not at the top: simulate writes no JSON
+
+    odd = [
+        i
+        for i, v in enumerate(values)
+        if not (
+            type(v) is float and (1e-4 <= abs(v) < 1e16 or v == 0.0)
+            or type(v) is int and -(2**63) <= v < 2**63
+            or v is None
+            or type(v) is bool
+        )
+    ]
+    copy = list(values)
+    for i in odd:
+        copy[i] = None
+    items = orjson.dumps(copy)[1:-1].split(b",")
+    for i in odd:
+        items[i] = json.dumps(values[i]).encode()
+    return b",\n    ".join(items).decode()
 
 
 def _dump_json(path: str, obj: dict) -> None:
     """Write obj as json.dumps(obj, indent=2, sort_keys=True) + "\\n" would,
     byte for byte, for the layout every output of this module has: a flat
-    object whose values are scalars or lists of scalars.  json.dumps with an
-    indent runs the pure-Python encoder, which takes about 1.7 times as long
-    on an n = 2000 fit; here each value goes through the C encoder."""
+    object whose values are scalars or lists of scalars.  The lists, four of
+    n floats in a fit, go through orjson (_list_items)."""
     items = []
     for key, value in sorted(obj.items()):
         if isinstance(value, list) and value:
-            text = "[\n    " + _LIST_ITEMS.encode(value)[1:-1] + "\n  ]"
+            text = "[\n    " + _list_items(value) + "\n  ]"
         else:
             text = json.dumps(value)
         items.append(f"{json.dumps(key)}: {text}")
@@ -116,7 +140,12 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise EdgeListParseError(
+                f"bad degrees JSON in {path}: nested too deeply"
+            ) from None
         try:
             n = _json_n(doc["n"], path)
             z_out = _json_degrees(doc["z_out"], "z_out", path)
@@ -131,12 +160,17 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
 
 
 def _json_n(n, path: str) -> int:
-    """A degrees JSON's n: a JSON integer (not a bool, string or float)."""
-    if isinstance(n, int) and not isinstance(n, bool):
-        return n
-    raise EdgeListParseError(
-        f"bad degrees JSON in {path}: n must be an integer, got {n!r}"
-    )
+    """A degrees JSON's n: a JSON integer (not a bool, string or float) of
+    at least 2, as an edge list must define."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise EdgeListParseError(
+            f"bad degrees JSON in {path}: n must be an integer, got {n!r}"
+        )
+    if n < 2:
+        raise EdgeListParseError(
+            f"bad degrees JSON in {path}: need at least 2 nodes, got n={n}"
+        )
+    return n
 
 
 def _json_degrees(values, key: str, path: str) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Command-line behavior: schemas, exit codes, reproducibility."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,12 @@ JSON_SCALARS = st.one_of(
 FLAT_DOCUMENTS = st.dictionaries(
     st.text(), JSON_SCALARS | st.lists(JSON_SCALARS, max_size=4), max_size=6
 )
+# list items on either side of the bounds of what orjson writes as
+# json.dumps does: floats of magnitude in [1e-4, 1e16) or zero, ints in int64
+ORJSON_FLOAT_BOUNDS = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+                       5e-324, -0.0, float("nan"), float("inf"), -float("inf")]
+ORJSON_INT_BOUNDS = st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+                                     2**64])
 
 
 def _with_junk(lines: list, junk) -> str:
@@ -281,6 +290,25 @@ class TestEstimate:
         code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
         assert code == 1
         assert_one_line_error(capsys, "bad JSON input")
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "deg.json"
+        path.write_text('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        assert_one_line_error(capsys, f"bad degrees JSON in {path}: nested too deeply")
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_nodes_exit_1(self, tmp_path, capsys, n):
+        # as an edge list that defines fewer than 2 nodes does
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps({"n": n, "z_out": [0] * n, "z_in": [0] * n}))
+        code = run_cli("estimate", str(path), "--raw",
+                       "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        assert_one_line_error(capsys, f"need at least 2 nodes, got n={n}")
         assert not (tmp_path / "fit.json").exists()
 
     def test_vectors_not_matching_n_exit_1(self, tmp_path, capsys):
@@ -707,6 +735,41 @@ class TestJsonWriter:
         _dump_json(str(path), doc)
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
+
+    @FUZZ_SETTINGS
+    @given(
+        floats=st.lists(st.floats(), min_size=1, max_size=300),
+        ints=st.lists(st.integers() | ORJSON_INT_BOUNDS, min_size=1, max_size=20),
+        mixed=st.lists(JSON_SCALARS, max_size=20),
+    )
+    def test_long_lists_write_the_bytes_of_json_dumps(
+        self, floats, ints, mixed, tmp_path
+    ):
+        # the lists of a fit are long, and most of their items take orjson's
+        # path; the items it writes otherwise sit among them
+        doc = {"floats": floats + ORJSON_FLOAT_BOUNDS, "ints": ints,
+               "mixed": mixed + ["a,b", 1.5, "caf\u00e9, \u2603", None]}
+        path = tmp_path / "doc.json"
+        _dump_json(str(path), doc)
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_simulate_does_not_import_orjson(self, tmp_path):
+        # simulate writes no JSON, so the writer's module stays unloaded
+        csv, doc = str(tmp_path / "cov.csv"), str(tmp_path / "doc.json")
+        code = (
+            "import sys\n"
+            "from dpgraph.cli import _dump_json, main\n"
+            f"main(['simulate', '--n', '10', '--reps', '4', '--out', {csv!r}])\n"
+            "assert 'orjson' not in sys.modules\n"
+            f"_dump_json({doc!r}, {{'x': [1.5]}})\n"
+            "assert 'orjson' in sys.modules\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestUsage:
