@@ -24,6 +24,7 @@ from .errors import (
     DpGraphError,
     EdgeListParseError,
     NumericalFailure,
+    brief,
 )
 from .estimator import newton_solve
 from .graph import degrees, parse_edge_list
@@ -74,48 +75,40 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _list_items(values: list) -> str:
-    """values' items one per line, four spaces in, as json.dumps with
-    indent=2 writes a list in a flat object.  orjson writes them, except
-    those it writes otherwise than json.dumps (floats of magnitude from 1e16
-    on, or below 1e-4 but not zero, NaN, infinities, ints beyond int64,
-    strings): each goes in as null, and json.dumps writes it in its place.
-    No item orjson then writes holds a comma, so its output splits item by
-    item."""
+def _json_array(a: np.ndarray) -> bytes:
+    """A 1-D float64 or int64 array as json.dumps(a.tolist(), indent=2)
+    writes it in a flat object.  orjson writes the items, and json.dumps
+    those orjson writes otherwise: floats of magnitude from 1e16 on, or
+    below 1e-4 but not zero, NaN and infinities."""
     import orjson  # here, not at the top: simulate writes no JSON
 
-    odd = [
-        i
-        for i, v in enumerate(values)
-        if not (
-            type(v) is float and (1e-4 <= abs(v) < 1e16 or v == 0.0)
-            or type(v) is int and -(2**63) <= v < 2**63
-            or v is None
-            or type(v) is bool
-        )
-    ]
-    copy = list(values)
-    for i in odd:
-        copy[i] = None
-    items = orjson.dumps(copy)[1:-1].split(b",")
-    for i in odd:
-        items[i] = json.dumps(values[i]).encode()
-    return b",\n    ".join(items).decode()
+    a = np.ascontiguousarray(a)  # orjson writes C-contiguous arrays only
+    odd = []
+    if a.dtype == np.float64:
+        with np.errstate(invalid="ignore"):  # NaN compares False: it is odd
+            ok = (np.abs(a) >= 1e-4) & (np.abs(a) < 1e16) | (a == 0)
+        odd = a[~ok].tolist()
+        a = np.where(ok, a, np.nan)  # orjson writes these, and only these, as null
+    parts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).split(b"null", len(odd))
+    text = b"".join(p + json.dumps(v).encode() for p, v in zip(parts, odd)) + parts[-1]
+    # no item holds a comma, so this puts one item on each line
+    return b"[\n    %b\n  ]" % text[1:-1].replace(b",", b",\n    ") if a.size else b"[]"
 
 
 def _dump_json(path: str, obj: dict) -> None:
     """Write obj as json.dumps(obj, indent=2, sort_keys=True) + "\\n" would,
-    byte for byte, for the layout every output of this module has: a flat
-    object whose values are scalars or lists of scalars.  The lists, four of
-    n floats in a fit, go through orjson (_list_items)."""
-    items = []
-    for key, value in sorted(obj.items()):
-        if isinstance(value, list) and value:
-            text = "[\n    " + _list_items(value) + "\n  ]"
-        else:
-            text = json.dumps(value)
-        items.append(f"{json.dumps(key)}: {text}")
-    _write_text(path, "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n")
+    byte for byte, each numpy array read as its tolist(), for the layout of
+    every output here: a flat object of scalars, lists of scalars and 1-D
+    float64 or int64 arrays (a fit's four vectors, a release's two), which
+    orjson writes (_json_array); json.dumps writes the rest."""
+    items = [
+        json.dumps(key).encode() + b": " + (
+            _json_array(value) if isinstance(value, np.ndarray)
+            else json.dumps(value, indent=2).replace("\n", "\n  ").encode()
+        )
+        for key, value in sorted(obj.items())
+    ]
+    Path(path).write_bytes(b"{\n  %b\n}\n" % b",\n  ".join(items) if items else b"{}\n")
 
 
 def cmd_privatize(args) -> int:
@@ -164,11 +157,11 @@ def _json_n(n, path: str) -> int:
     at least 2, as an edge list must define."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise EdgeListParseError(
-            f"bad degrees JSON in {path}: n must be an integer, got {n!r}"
+            f"bad degrees JSON in {path}: n must be an integer, got {brief(n)}"
         )
     if n < 2:
         raise EdgeListParseError(
-            f"bad degrees JSON in {path}: need at least 2 nodes, got n={n}"
+            f"bad degrees JSON in {path}: need at least 2 nodes, got n={brief(n)}"
         )
     return n
 
@@ -196,7 +189,7 @@ def _json_epsilon(eps, path: str) -> float | None:
             return value
     raise EdgeListParseError(
         f"bad degrees JSON in {path}: epsilon must be a finite number or "
-        f"null, got {eps!r}"
+        f"null, got {brief(eps)}"
     )
 
 
@@ -233,11 +226,11 @@ def cmd_estimate(args) -> int:
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise DomainError(f"pair must be 'i,j', got {text!r}")
+        raise DomainError(f"pair must be 'i,j', got {brief(text)}")
     try:
         i, j = int(parts[0]), int(parts[1])
     except ValueError:
-        raise DomainError(f"pair must hold integers, got {text!r}") from None
+        raise DomainError(f"pair must hold integers, got {brief(text)}") from None
     return i, j
 
 
@@ -305,7 +298,7 @@ def _read_stats_file(path: str, pair: str | None, kind: str | None) -> np.ndarra
             except ValueError:
                 raise DomainError(
                     f"{path}: line {line_no}: expected a "
-                    f"'{STATS_DUMP_HEADER}' row, got {ln!r}"
+                    f"'{STATS_DUMP_HEADER}' row, got {brief(ln)}"
                 ) from None
             if (want_pair is None or row[0] == want_pair) and (
                 kind is None or k == kind

@@ -1,6 +1,12 @@
 """Exception hierarchy shared across the package."""
 
 
+def brief(value) -> str:
+    """repr(value) for an error line: cut to 60 characters, plus its length."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
+
+
 class DpGraphError(Exception):
     """Base class for all errors raised by this package."""
 

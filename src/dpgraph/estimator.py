@@ -308,6 +308,7 @@ class FitResult:
         return self.reason is None
 
     def to_json_dict(self) -> dict:
+        """The fit JSON's fields, with the four vectors as numpy arrays."""
         out = {
             "n": self.n,
             "model": self.model,
@@ -322,11 +323,11 @@ class FitResult:
             return out | dict.fromkeys(("alpha", "beta", "se_alpha", "se_beta"))
         se = np.sqrt(self.var_diag)
         return out | {
-            "alpha": self.theta.alpha.tolist(),
-            "beta": self.theta.beta.tolist(),
-            "se_alpha": se[: self.n].tolist(),
+            "alpha": self.theta.alpha,
+            "beta": self.theta.beta,
+            "se_alpha": se[: self.n],
             # beta_n is pinned, so its reported std. error is 0
-            "se_beta": se[self.n :].tolist() + [0.0],
+            "se_beta": np.append(se[self.n :], 0.0),
             "shared_var": self.shared_var,
             "privacy_var": self.privacy_var,
         }

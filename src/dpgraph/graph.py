@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EdgeListParseError
+from .errors import DomainError, EdgeListParseError, brief
 from .model import EdgeMeanModel
 from .pairs import _pair_matrix
 
@@ -132,7 +132,9 @@ class ParameterVector:
         if free.ndim != 1 or free.shape[0] % 2 != 1:
             raise DomainError("free vector must have odd length 2n-1")
         n = (free.shape[0] + 1) // 2
-        return cls(alpha=free[:n], beta=np.append(free[n:], 0.0))
+        full = np.append(free, 0.0)  # a fresh copy, which the vector keeps
+        full.flags.writeable = False
+        return cls(alpha=full[:n], beta=full[n:])
 
     @classmethod
     def zeros(cls, n: int) -> "ParameterVector":
@@ -161,10 +163,9 @@ def sample_graph(
 def degrees(g: DirectedGraph) -> BiDegree:
     """Row sums give out-degrees, column sums give in-degrees."""
     adj = g.adjacency
-    return BiDegree(
-        out_deg=adj.sum(axis=1, dtype=np.int64),
-        in_deg=adj.sum(axis=0, dtype=np.int64),
-    )
+    out, inn = adj.sum(axis=1, dtype=np.int64), adj.sum(axis=0, dtype=np.int64)
+    out.flags.writeable = inn.flags.writeable = False  # fresh: BiDegree keeps them
+    return BiDegree(out_deg=out, in_deg=inn)
 
 
 def expected_bidegree(
@@ -318,7 +319,7 @@ def _parse_lines(text: str) -> tuple[list[int], list[int], int | None]:
             try:
                 declared_n = int(line[2:])
             except ValueError:
-                raise EdgeListParseError(f"bad node-count header {line!r}", line_no)
+                raise EdgeListParseError(f"bad node-count header {brief(line)}", line_no)
             if declared_n < 2:
                 raise EdgeListParseError("declared n must be >= 2", line_no)
             saw_content = True
@@ -326,11 +327,11 @@ def _parse_lines(text: str) -> tuple[list[int], list[int], int | None]:
         saw_content = True
         parts = line.split()
         if len(parts) != 2:
-            raise EdgeListParseError(f"expected '<src> <dst>', got {line!r}", line_no)
+            raise EdgeListParseError(f"expected '<src> <dst>', got {brief(line)}", line_no)
         try:
             src, dst = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListParseError(f"non-integer node id in {line!r}", line_no)
+            raise EdgeListParseError(f"non-integer node id in {brief(line)}", line_no)
         if src < 1 or dst < 1:
             raise EdgeListParseError("node ids must be >= 1", line_no)
         if src == dst:

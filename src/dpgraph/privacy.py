@@ -87,11 +87,12 @@ class NoisyBiDegree:
         return self.z_out.shape[0]
 
     def to_json_dict(self, seed: int | None = None) -> dict:
+        """The release JSON's fields, with z_out and z_in as int64 arrays."""
         out = {
             "n": self.n,
             "epsilon": self.params.epsilon,
-            "z_out": self.z_out.tolist(),
-            "z_in": self.z_in.tolist(),
+            "z_out": self.z_out,
+            "z_in": self.z_in,
         }
         if seed is not None:
             out["seed"] = int(seed)
@@ -148,11 +149,9 @@ def privatize(
     else:
         e_plus = discrete_laplace_sample(params.lam, rng, size=n)
         e_minus = discrete_laplace_sample(params.lam, rng, size=n)
-    return NoisyBiDegree(
-        z_out=d.out_deg + e_plus,
-        z_in=d.in_deg + e_minus,
-        params=params,
-    )
+    z_out, z_in = d.out_deg + e_plus, d.in_deg + e_minus
+    z_out.flags.writeable = z_in.flags.writeable = False  # fresh: kept uncopied
+    return NoisyBiDegree(z_out=z_out, z_in=z_in, params=params)
 
 
 def deviation_bound(n: int, epsilon: float) -> float:

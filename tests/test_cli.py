@@ -48,9 +48,15 @@ DUMP_ROWS = st.lists(
     min_size=2,
     max_size=5,
 )
-JUNK = st.none() | st.tuples(st.integers(0, 6), JUNK_LINES)
+# lines and JSON values far longer than an error line may echo
+HUGE_LINES = st.sampled_from(
+    ["x" * 100_000, " ".join(["1"] * 50_000), "n=" + "x" * 100_000]
+)
+HUGE_JSON_VALUES = st.sampled_from([list(range(100_000)), "e" * 100_000, -(10**4000)])
+JUNK = st.none() | st.tuples(st.integers(0, 6), JUNK_LINES | HUGE_LINES)
 # the layout of every JSON document the CLI writes: a flat object whose
-# values are scalars or lists of scalars, with the scalars' edge cases
+# values are scalars or lists of scalars, with the scalars' edge cases (and
+# 1-D float64 or int64 arrays, which the array test below covers)
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -70,6 +76,15 @@ ORJSON_FLOAT_BOUNDS = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
                        5e-324, -0.0, float("nan"), float("inf"), -float("inf")]
 ORJSON_INT_BOUNDS = st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
                                      2**64])
+# float64 array items on either side of those bounds, and the float range's
+# extremes; int64 array items up to the int64 bounds
+ARRAY_FLOAT_EDGES = [
+    1e-4, -1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+    -np.nextafter(1e-4, 0), 1e16, -1e16, np.nextafter(1e16, 0),
+    5e-324, -5e-324, 2.225073858507201e-308, 0.0, -0.0, float("nan"),
+    float("inf"), -float("inf"), 1.7976931348623157e308, -1.7976931348623157e308,
+]
+INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
 def _with_junk(lines: list, junk) -> str:
@@ -230,6 +245,7 @@ class TestPrivatize:
         assert code in (0, 1, 64)
         err = capsys.readouterr().err
         assert err.count("\n") == (code != 0) and "Traceback" not in err
+        assert len(err) <= 300 + len(str(path))  # a huge line is echoed clipped
 
 
 class TestEstimate:
@@ -413,21 +429,24 @@ class TestEstimate:
         junk=st.none() | st.tuples(st.integers(0, 7), JSON_VALUES),
         epsilon=st.sampled_from([None, 2.0]),
         mode=st.sampled_from([[], ["--raw"]]),
+        huge=st.none() | st.tuples(st.sampled_from(["n", "epsilon"]), HUGE_JSON_VALUES),
     )
     def test_arbitrary_degree_entries_end_in_a_documented_exit(
-        self, tmp_path, capsys, degrees, junk, epsilon, mode
+        self, tmp_path, capsys, degrees, junk, epsilon, mode, huge
     ):
         if junk is not None:
             degrees[junk[0]] = junk[1]
+        doc = {"n": 4, "epsilon": epsilon, "z_out": degrees[:4], "z_in": degrees[4:]}
+        if huge is not None:
+            doc[huge[0]] = huge[1]
         path = tmp_path / "deg.json"
-        path.write_text(json.dumps(
-            {"n": 4, "epsilon": epsilon, "z_out": degrees[:4], "z_in": degrees[4:]}
-        ))
+        path.write_text(json.dumps(doc))
         code = run_cli("estimate", str(path), *mode,
                        "--out", str(tmp_path / "fit.json"))
         assert code in (0, 1, 2, 3, 64)
         err = capsys.readouterr().err
         assert err.count("\n") == (code != 0) and "Traceback" not in err
+        assert len(err) <= 300 + len(str(path))  # a huge value is echoed clipped
 
     def test_private_fit_reports_noise_variance(self, tmp_path):
         theta = ParameterVector.zeros(40)
@@ -709,7 +728,8 @@ class TestQq:
         rows=DUMP_ROWS,
         junk=JUNK,
         selection=st.sampled_from(
-            [[], ["--pair", "1,2", "--kind", "xi"], ["--kind", "xi"], ["--pair", "1,x"]]
+            [[], ["--pair", "1,2", "--kind", "xi"], ["--kind", "xi"], ["--pair", "1,x"],
+             ["--pair", "1," + "x" * 100_000], ["--pair", "1,2," * 50_000]]
         ),
     )
     def test_arbitrary_stats_dumps_end_in_a_documented_exit(
@@ -725,6 +745,7 @@ class TestQq:
         assert code in (0, 1, 64)
         err = capsys.readouterr().err
         assert err.count("\n") == (code != 0) and "Traceback" not in err
+        assert len(err) <= 300 + len(str(path))  # a huge line or pair is echoed clipped
 
 
 class TestJsonWriter:
@@ -754,15 +775,50 @@ class TestJsonWriter:
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
 
+    @FUZZ_SETTINGS
+    @given(
+        floats=st.lists(st.floats() | st.sampled_from(ARRAY_FLOAT_EDGES), max_size=300),
+        ints=st.lists(INT64 | st.sampled_from([-(2**63), 2**63 - 1]), max_size=20),
+        mixed=st.lists(JSON_SCALARS, max_size=4),
+    )
+    def test_arrays_write_the_bytes_of_json_dumps(self, floats, ints, mixed, tmp_path):
+        # a fit's and a release's vectors come as arrays, read as their tolist()
+        a = np.array(floats + ARRAY_FLOAT_EDGES)
+        doc = {"floats": a, "reversed": a[::-2], "empty": np.array([]),
+               "ints": np.array(ints, dtype=np.int64), "mixed": mixed, "n": 3}
+        assert not doc["reversed"].flags.c_contiguous
+        path = tmp_path / "doc.json"
+        _dump_json(str(path), doc)
+        listed = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                  for k, v in doc.items()}
+        want = json.dumps(listed, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_fit_with_an_estimate_below_1e_4_writes_json_dumps_bytes(self, tmp_path):
+        # orjson writes 3e-05 as 0.00003, so alpha_2's item is rewritten
+        alpha = np.linspace(0.5, -0.5, 20)
+        alpha[1] = 3e-5
+        beta = np.append(np.linspace(-0.3, 0.3, 19), 0.0)
+        eo, ei = expected_bidegree(ParameterVector(alpha=alpha, beta=beta), PROBIT)
+        path, out = tmp_path / "deg.json", tmp_path / "fit.json"
+        path.write_text(json.dumps({"n": 20, "z_out": eo.tolist(), "z_in": ei.tolist()}))
+        assert run_cli("estimate", str(path), "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["alpha"][1] == pytest.approx(3e-5, abs=1e-9)
+        # json.dumps writes every float as the shortest repr that reads back
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert out.read_bytes() == want.encode("utf-8")
+
     def test_simulate_does_not_import_orjson(self, tmp_path):
         # simulate writes no JSON, so the writer's module stays unloaded
         csv, doc = str(tmp_path / "cov.csv"), str(tmp_path / "doc.json")
         code = (
             "import sys\n"
+            "import numpy as np\n"
             "from dpgraph.cli import _dump_json, main\n"
             f"main(['simulate', '--n', '10', '--reps', '4', '--out', {csv!r}])\n"
             "assert 'orjson' not in sys.modules\n"
-            f"_dump_json({doc!r}, {{'x': [1.5]}})\n"
+            f"_dump_json({doc!r}, {{'x': np.array([1.5])}})\n"
             "assert 'orjson' in sys.modules\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpgraph import graph
+from dpgraph import graph, privacy
 from dpgraph import (
     BiDegree,
     DirectedGraph,
@@ -21,6 +21,7 @@ from dpgraph import (
     degrees,
     expected_bidegree,
     parse_edge_list,
+    privatize,
     sample_graph,
     to_edge_list_text,
 )
@@ -183,6 +184,24 @@ class TestValueTypeArrays:
         a = values.copy()
         a.flags.writeable = False
         assert np.shares_memory(held_by(a), a)
+
+    def test_vectors_computed_for_a_value_type_are_held_without_copy(
+        self, monkeypatch
+    ):
+        # degrees, privatize and from_free freeze the vectors they compute
+        owned, kept = graph._owned, []
+
+        def spy(obj, name, values, dtype):
+            held = owned(obj, name, values, dtype)
+            kept.append(np.shares_memory(held, values))
+            return held
+
+        g = DirectedGraph(adjacency=~np.eye(4, dtype=bool))
+        monkeypatch.setattr(graph, "_owned", spy)
+        monkeypatch.setattr(privacy, "_owned", spy)
+        privatize(degrees(g), 1.0, np.random.default_rng(0))
+        ParameterVector.from_free(np.array([0.5, 0.0, -0.5, 0.25, 0.1]))
+        assert kept == [True] * 6
 
 
 class TestDegrees:

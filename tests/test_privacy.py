@@ -1,5 +1,6 @@
 """Noise law fidelity and the degree-release mechanism."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from dpgraph import (
     privatize,
     sample_graph,
 )
+from dpgraph.cli import _dump_json
 
 
 def gof_statistic(draws: np.ndarray, lam: float) -> tuple[float, float]:
@@ -190,12 +192,18 @@ class TestPrivatize:
         with pytest.raises(DomainError):
             privatize(self._degrees(), 0.0, np.random.default_rng(0))
 
-    def test_json_schema(self):
+    def test_json_schema(self, tmp_path):
         z = privatize(self._degrees(n=5, seed=3), 1.0, np.random.default_rng(1))
         doc = z.to_json_dict(seed=7)
         assert set(doc) == {"n", "epsilon", "z_out", "z_in", "seed"}
         assert doc["n"] == 5 and doc["seed"] == 7
-        assert all(isinstance(v, int) for v in doc["z_out"])
+        # the degrees are integers: int64 arrays, written as JSON ints
+        assert doc["z_out"].dtype == doc["z_in"].dtype == np.int64
+        path = tmp_path / "release.json"
+        _dump_json(str(path), doc)
+        written = json.loads(path.read_text())
+        assert all(type(v) is int for v in written["z_out"] + written["z_in"])
+        assert written["z_out"] == doc["z_out"].tolist()
 
 
 class TestPrivacyRatio:
