@@ -139,6 +139,12 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
             raise EdgeListParseError(
                 f"bad degrees JSON in {path}: nested too deeply"
             ) from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer literal past Python's int-string limit
+            raise EdgeListParseError(
+                f"bad degrees JSON in {path}: an integer has too many digits"
+            ) from None
         try:
             n = _json_n(doc["n"], path)
             z_out = _json_degrees(doc["z_out"], "z_out", path)
@@ -309,6 +315,8 @@ def _read_stats_file(path: str, pair: str | None, kind: str | None) -> np.ndarra
         distinct = sorted({(p, k) for p, k, _ in rows})
         if len(distinct) > 1:
             names = ", ".join(f"{p[0]},{p[1]}:{k}" for p, k in distinct)
+            if len(names) > 120:  # clipped, as `brief` clips an echoed value
+                names = f"{names[:120]} ... {len(distinct)} in all"
             raise DomainError(
                 f"stats file holds several series ({names}); select one "
                 "with --pair and --kind"

@@ -7,6 +7,7 @@ Node ids in edge-list files are 1-based.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,12 +186,12 @@ def parse_edge_list(text: str) -> DirectedGraph:
     nodes).  Duplicate edges collapse to one; a warning with the collapsed
     count is logged.  Self-loops and ids < 1 are rejected.
 
-    The plain form -- leading blank, '#' and header lines, then only
-    ASCII digits, spaces, tabs and LF or CRLF line ends, with two ids of
-    at most 18 digits on each non-blank line -- is parsed in one
-    vectorized pass.  Any other text is parsed line by line, which
-    accepts the same format and raises the same errors with the same
-    line numbers.
+    The leading blank, '#' and header lines are read line by line.  A
+    body in the plain form -- only ASCII digits, spaces, tabs and LF or
+    CRLF line ends, with two ids of at most 18 digits on each non-blank
+    line -- is then parsed in one vectorized pass; any other text is
+    parsed line by line as a whole.  Both paths accept the same format
+    and raise the same errors with the same line numbers.
     """
     edges = _parse_plain(text)
     if edges is None:
@@ -205,38 +206,27 @@ _PLAIN_DIGITS = 18
 # arrays stay cache-sized: on a 3.9 MB list, pieces of 32 to 256 KiB ran
 # about as fast as each other, and pieces of 8 KiB or 1 MiB slower
 _PLAIN_CHUNK = 1 << 16
+# the leading lines that are blank or start with '#' or 'n', each ended by
+# LF or the end of the text: a loose scan, and `_parse_lines` decides what
+# the lines it finds mean
+_PREAMBLE = re.compile(r"(?:[ \t\r]*(?:[#n][^\n]*)?(?:\n|\Z))*")
 
 
 def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray, int | None] | None:
-    """(srcs, dsts, declared n) of an edge list in the plain form, read in
-    one vectorized pass over its bytes (in pieces of about 64 KiB); None
-    for any other text, which `_parse_lines` then reads (and, if
-    malformed, reports with its line number).
+    """(srcs, dsts, declared n) of an edge list whose body is in the plain
+    form, read in one vectorized pass over its bytes (in pieces of about
+    64 KiB); None for any other text, which `_parse_lines` then reads whole.
 
-    The plain form is: leading blank, '#' and "n=<count>" header lines
-    with LF or CRLF ends, then a body of ASCII digits, spaces, tabs, LF
-    and CR (only directly before LF) where every non-blank line holds two
-    ids of at most 18 digits, each id >= 1 and no self-loop.
+    The leading blank, '#' and header lines go to `_parse_lines`, which
+    raises on a malformed header as it would on the whole text.  The plain
+    body is ASCII digits, spaces, tabs, LF and CR (only directly before
+    LF), where every non-blank line holds two ids of at most 18 digits,
+    each id >= 1 and no self-loop.
     """
-    declared_n = None
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        raw = text[pos:end].removesuffix("\r")
-        if raw and raw.splitlines() != [raw]:
-            return None  # a line break other than LF or CRLF
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            if declared_n is not None or not line.startswith("n="):
-                break
-            try:
-                declared_n = int(line[2:])
-            except ValueError:
-                return None
-            if declared_n < 2:
-                return None
-        pos = end + 1
+    pos = _PREAMBLE.match(text).end()
+    srcs, _, declared_n = _parse_lines(text[:pos])
+    if srcs:
+        return None  # a line break other than LF or CRLF split off an edge
 
     pieces = [np.empty(0, dtype=np.int64)]
     while pos < len(text):
@@ -248,15 +238,12 @@ def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray, int | None] | None:
         pieces.append(ids)
         pos = end
     ids = np.concatenate(pieces)
-    srcs, dsts = ids[0::2], ids[1::2]
-    if srcs.size and (min(srcs.min(), dsts.min()) < 1 or (srcs == dsts).any()):
-        return None
-    return srcs, dsts, declared_n
+    return ids[0::2], ids[1::2], declared_n
 
 
 def _plain_ids(lines: str) -> np.ndarray | None:
     """The ids of whole plain-form body lines, in order, or None if the
-    lines are not in the plain form."""
+    lines are not in the plain form or hold an id < 1 or a self-loop."""
     if not lines.isascii():
         return None
     b = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
@@ -297,6 +284,8 @@ def _plain_ids(lines: str) -> np.ndarray | None:
     ids = digits[last].astype(np.int64)
     for k in range(1, longest):
         ids += digits[last - k].astype(np.int64) * (lengths > k) * 10**k
+    if ids.size and (ids.min() < 1 or (ids[0::2] == ids[1::2]).any()):
+        return None
     return ids
 
 

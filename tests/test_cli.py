@@ -106,9 +106,10 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
-def assert_one_line_error(capsys, text: str) -> None:
+def assert_one_line_error(capsys, text: str) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and text in err and "Traceback" not in err
+    return err
 
 
 @pytest.fixture()
@@ -314,6 +315,23 @@ class TestEstimate:
         code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
         assert code == 1
         assert_one_line_error(capsys, f"bad degrees JSON in {path}: nested too deeply")
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("doc", [
+        '{"n": %s, "z_out": [1, 1, 1, 1], "z_in": [1, 1, 1, 1]}',
+        '{"n": 4, "z_out": [1, 1, %s, 1], "z_in": [1, 1, 1, 1]}',
+    ], ids=["n", "z_out"])
+    def test_integer_past_the_int_string_limit_exits_1(self, tmp_path, capsys, doc):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer of more digits than Python reads (4,300 by default)
+        path = tmp_path / "deg.json"
+        path.write_text(doc % ("9" * 5000))
+        code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        err = assert_one_line_error(
+            capsys, f"bad degrees JSON in {path}: an integer has too many digits"
+        )
+        assert len(err) <= 300 + len(str(path))
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -655,6 +673,21 @@ class TestSimulate:
         assert "--pair" in capsys.readouterr().err
         assert run_cli("qq", str(dump), "--pair", "3,4",
                        "--out", str(tmp_path / "qq.csv")) == 0
+
+    @pytest.mark.parametrize("pairs, listed", [
+        (2, "(1,2:xi, 2,3:xi)"),
+        (10_000, "(1,2:xi, 2,3:xi, 3,4:xi, "),
+    ], ids=["two", "ten-thousand"])
+    def test_several_series_error_is_one_bounded_line(self, tmp_path, capsys,
+                                                      pairs, listed):
+        dump = tmp_path / "stats.csv"
+        dump.write_text(STATS_DUMP_HEADER + "\n" + "".join(
+            f"0,{i},{i + 1},xi,0.5\n" for i in range(1, pairs + 1)))
+        code = run_cli("qq", str(dump), "--out", str(tmp_path / "qq.csv"))
+        assert code == 64
+        err = assert_one_line_error(capsys, f"stats file holds several series {listed}")
+        assert len(err) <= 300 + len(str(dump))
+        assert (f"... {pairs} in all); select one" in err) == (pairs > 2)
 
     def test_kind_only_selection(self, tmp_path):
         dump = tmp_path / "stats.csv"

@@ -91,6 +91,13 @@ def _parse_outcome(parse, text: str):
     return g.n, g.adjacency.tobytes(), [r.getMessage() for r in records]
 
 
+def _spied_parse(text: str, monkeypatch):
+    """(outcome of parse_edge_list, the texts `_parse_lines` was given)."""
+    line_loop, calls = graph._parse_lines, []
+    monkeypatch.setattr(graph, "_parse_lines", lambda t: calls.append(t) or line_loop(t))
+    return _parse_outcome(parse_edge_list, text), calls
+
+
 def _bench_shaped_text(n: int, seed: int) -> str:
     """A header and every edge of a half-dense random graph, one per line."""
     adj = np.random.default_rng(seed).random((n, n)) < 0.5
@@ -432,22 +439,38 @@ class TestEdgeListParsing:
     def test_matches_line_by_line_reference(self, text):
         assert _parse_outcome(parse_edge_list, text) == _parse_outcome(_reference_parse, text)
 
-    @pytest.mark.parametrize("text", [
-        _bench_shaped_text(40, seed=3),
-        "# Directed graph: toy.txt\n# Nodes: 5 Edges: 4\n# FromNodeId\tToNodeId\n"
-        "n=5\n1\t2\n2\t3\n3\t1\n4\t5\n",
-        "\n# c\r\nn=4\r\n# c\r\n 001  2 \r\n\r\n3\t000000000000000004\r\n4 1",
-        "1 2\n2 1\n1 2\n",
-        "n=3\n",
-    ], ids=["bench", "snap", "crlf-padding", "duplicates", "header-only"])
-    def test_plain_form_takes_the_vectorized_path(self, text, monkeypatch):
+    @pytest.mark.parametrize("preamble, body", [
+        ("n=40\n", _bench_shaped_text(40, seed=3).removeprefix("n=40\n")),
+        ("# Directed graph: toy.txt\n# Nodes: 5 Edges: 4\n# FromNodeId\tToNodeId\nn=5\n",
+         "1\t2\n2\t3\n3\t1\n4\t5\n"),
+        ("\n# c\r\nn=4\r\n# c\r\n", " 001  2 \r\n\r\n3\t000000000000000004\r\n4 1"),
+        ("", "1 2\n2 1\n1 2\n"),
+        ("n=3\n", ""),
+        ("# c\n\t\nn=3\n", "1 2\n3 1\n"),
+        ("# c\r\n\r\nn=3\r\n", "1 2\r\n3 1\r\n"),
+        ("n=3", ""),
+        # a malformed header raises the error, with the line number, that
+        # the line reader gives on the whole text
+        ("n=1\n", "1 2\n"),
+        ("# c\nn=x\n", "1 2\n"),
+        ("n=5\n\nn=4\n", "1 2\n"),
+        ("nope\n", "1 2\n"),
+    ], ids=["bench", "snap", "crlf-padding", "duplicates", "header-only",
+            "comment-and-tab-line", "crlf-preamble", "header-without-lf",
+            "n-below-2", "non-integer-n", "second-header", "letters"])
+    def test_plain_form_takes_the_vectorized_path(self, preamble, body, monkeypatch):
+        # the line reader reads the leading lines alone, the body goes
+        # through the vectorized pass
+        text = preamble + body
         expected = _parse_outcome(_reference_parse, text)
+        assert _spied_parse(text, monkeypatch) == (expected, [preamble])
 
-        def line_loop(text):
-            raise AssertionError("plain-form text fell back to the line loop")
-
-        monkeypatch.setattr(graph, "_parse_lines", line_loop)
-        assert _parse_outcome(parse_edge_list, text) == expected
+    def test_edge_split_off_a_comment_falls_back(self, monkeypatch):
+        # a vertical tab ends a line for the line reader, not for the scan
+        # of the leading lines, which takes "#c\x0b1 2" as one comment
+        text = "#c\x0b1 2\n3 4\n"
+        expected = _parse_outcome(_reference_parse, text)
+        assert _spied_parse(text, monkeypatch) == (expected, ["#c\x0b1 2\n", text])
 
     @pytest.mark.parametrize("bad, message", [
         ("x", "non-integer node id"),
@@ -462,10 +485,8 @@ class TestEdgeListParsing:
         expected = _parse_outcome(_reference_parse, text)
         assert expected[0] is EdgeListParseError
         assert expected[1].startswith(f"line {text.count(chr(10))}: {message}")
-        line_loop, calls = graph._parse_lines, []
-        monkeypatch.setattr(graph, "_parse_lines", lambda t: calls.append(t) or line_loop(t))
-        assert _parse_outcome(parse_edge_list, text) == expected
-        assert calls == [text]
+        # the leading lines, then the whole text again
+        assert _spied_parse(text, monkeypatch) == (expected, ["n=200\n", text])
 
     @pytest.mark.parametrize("text", [
         "1\n2\n", "1\n2 3\n4\n", "1 2 3\n4\n", "1 2 3 4\n", "1 2\r", "1 2\r\r\n",
