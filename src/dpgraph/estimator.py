@@ -28,9 +28,10 @@ sum or product of a pair matrix f(alpha_i + beta_j).  One pair operator
 (pairs._Pairs) serves them all: below n = 64 from the dense n x n
 matrices (O(n^2) per product), from there on from a tensor Chebyshev
 interpolant on p x p nodes (O(p n) per product), stacked over the rows of
-a block.  Each row takes the first rung of the node ladder, p = 24 then
-p = 32, whose nodes resolve its box of strengths, and a box too wide for
-both goes dense.
+a block.  Each row takes the first rung of the node ladder, p = 12 (only
+for a box of half-width at most pairs._NARROW_HALF_WIDTH), then p = 24,
+then p = 32, whose nodes resolve its box of strengths, and a box too wide
+for every rung goes dense.
 
 One stacked solver fits R degree sequences at once (the simulation
 harness's blocks of replications); newton_solve is its R = 1 case.  Its

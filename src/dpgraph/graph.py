@@ -204,8 +204,12 @@ _PLAIN_DIGITS = 18
 # the plain form's body is read in pieces of about this many characters,
 # each ending at a line end, so that a piece's byte, separator and id
 # arrays stay cache-sized: on a 3.9 MB list, pieces of 32 to 256 KiB ran
-# about as fast as each other, and pieces of 8 KiB or 1 MiB slower
-_PLAIN_CHUNK = 1 << 16
+# about as fast as each other, and pieces of 8 KiB or 1 MiB slower.  Its
+# privatize call read 37.8-43.9 ms with 256 KiB pieces and 44.3-54.3 ms
+# with 64 KiB (medians of 25 calls in each of 4 processes a side); 2 of
+# the 256 KiB processes took 5 minor page faults a call, the others and
+# every 64 KiB one 400 to 2,000
+_PLAIN_CHUNK = 1 << 18
 # the leading lines that are blank or start with '#' or 'n', each ended by
 # LF or the end of the text: a loose scan, and `_parse_lines` decides what
 # the lines it finds mean
@@ -215,7 +219,7 @@ _PREAMBLE = re.compile(r"(?:[ \t\r]*(?:[#n][^\n]*)?(?:\n|\Z))*")
 def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray, int | None] | None:
     """(srcs, dsts, declared n) of an edge list whose body is in the plain
     form, read in one vectorized pass over its bytes (in pieces of about
-    64 KiB); None for any other text, which `_parse_lines` then reads whole.
+    256 KiB); None for any other text, which `_parse_lines` then reads whole.
 
     The leading blank, '#' and header lines go to `_parse_lines`, which
     raises on a malformed header as it would on the whole text.  The plain

@@ -17,11 +17,16 @@ two backends:
   at once.
 
 Below _DENSE_BELOW nodes every row is dense.  From there each row climbs
-the node ladder _CHEB_LADDER (24, then 32 nodes): it takes the first rung
-on which the last two Chebyshev coefficients per axis of its mu, mu' and
-mu(1-mu) grids lie within _CHEB_TAIL of the largest coefficient, and a
-box too wide for every rung (such as an iterate near the divergence
-guard) goes dense, in stacks of at most _DENSE_ELEMENTS floats per array.
+the node ladder _CHEB_LADDER (12, 24, then 32 nodes): it takes the first
+rung within its reach on which the last two Chebyshev coefficients per
+axis of its mu, mu' and mu(1-mu) grids lie within _CHEB_TAIL of the
+largest coefficient, and a box too wide for every rung (such as an
+iterate near the divergence guard) goes dense, in stacks of at most
+_DENSE_ELEMENTS floats per array.  Only a box of half-width at most
+_NARROW_HALF_WIDTH (the larger of (max alpha - min alpha)/2 and
+(max beta - min beta)/2, beta_n = 0 included) reaches the 12-node rung.
+The gate decides who tries that rung and the tail test whether it holds,
+so a narrow row that 12 nodes do not resolve climbs to 24.
 A rung evaluates and tests the grids first and builds L^T only for the
 rows they pass (Aurentz and Trefethen, "Chopping a Chebyshev series",
 2017, pick a degree from the tail likewise).  Resolved grids read 2e-15 to
@@ -29,6 +34,17 @@ rows they pass (Aurentz and Trefethen, "Chopping a Chebyshev series",
 sums at n = 2000.  A row's rung depends only on n and its own box, and a
 stacked product is one BLAS call per row, so a row's floats do not depend
 on the other rows.
+
+The gate is the reach of 12 nodes, the largest half-width whose square
+boxes pass at n = 200 (bisected on _cheb_iterate), by strength-sum centre:
+probit 0.171 at +-3, 0.179 at +-2, 0.187 at +-1 and 0.183 at 0, but 0.08
+at -6 and 0 from +4 on, where the mu(1-mu) grid loses relative precision
+(such rows try 12 nodes, fail and climb); logit 0.242 at 0 to 0.298 at
++-3.  On flat-truth probit releases at epsilon = 2 the estimate's box
+has half-width 0.41 to 0.63 at n = 100, 0.12 to 0.14 at n = 1000 and
+about 0.1 at n = 2000, where every row-build of an estimate is on 12
+nodes.  Ungated, 4,129 of the anchor cell's 4,154 row-builds failed the
+12-node attempt, and the cell ran 8 to 14 % slower.
 
 Where dense pays, measured on a 2-vCPU VM with 1 BLAS thread on
 anchor-style releases (flat probit truth, epsilon = 2):
@@ -57,8 +73,10 @@ import numpy as np
 
 from .model import EdgeMeanModel
 
-# the node counts a row tries, in order, before it goes dense
-_CHEB_LADDER = (24, 32)
+# the node counts a row tries, in order, before it goes dense; only a box
+# of half-width at most _NARROW_HALF_WIDTH tries the first rung
+_CHEB_LADDER = (12, 24, 32)
+_NARROW_HALF_WIDTH = 0.17
 _CHEB_TAIL = 1e-13
 _DENSE_BELOW = 64
 # a dense stack holds at most this many pair-matrix floats (1 MB) per array
@@ -264,19 +282,20 @@ def _dense_rows(n: int) -> int:
 # The harness fits its replications in blocks of _block_size(n) rows, sized
 # by what a block of the Newton core holds, which bounds the harness's extra
 # memory whatever n is.  Below _DENSE_BELOW a block is one dense stack.
-# From there a row is compressed: on the first rung, p = _CHEB_LADDER[0], it
-# holds its L^T (2 p n floats) and its three p x p grids (_cheb_buffers), and
-# a block at most _CHEB_BLOCK_FLOATS of those (2 MB: 40 rows at n = 100, 23
-# at n = 200, 5 at n = 1000).  Rows that need a later rung get its buffers
-# when they occur, and rows whose box is too wide for every rung go dense
-# (_dense_rows).
+# From there a row is compressed, and sized by 24 nodes, the first rung that
+# every row reaches (p = _CHEB_LADDER[1]): it holds its L^T (2 p n floats) and
+# its three p x p grids (_cheb_buffers), and a block at most
+# _CHEB_BLOCK_FLOATS of those (2 MB: 54 rows at n = 64, 40 at n = 100, 23 at
+# n = 200, 5 at n = 1000).  Rows on another rung get its buffers when they
+# occur (the 12-node ones take at most half the floats), and rows whose box
+# is too wide for every rung go dense (_dense_rows).
 _CHEB_BLOCK_FLOATS = 1 << 18
 
 
 def _block_size(n: int) -> int:
     if n < _DENSE_BELOW:
         return _dense_rows(n)
-    p = _CHEB_LADDER[0]
+    p = _CHEB_LADDER[1]
     return max(1, _CHEB_BLOCK_FLOATS // (2 * p * n + 3 * p * p))
 
 
@@ -368,9 +387,10 @@ class _Pairs:
 def _pairs(free: np.ndarray, model: EdgeMeanModel, buf: dict | None = None) -> _Pairs:
     """The pair operator at stacked free coordinates: dense below
     _DENSE_BELOW nodes, else compressed on the first rung of _CHEB_LADDER
-    whose nodes resolve a row's box, and dense on the rows no rung resolves,
-    in stacks of _dense_rows(n) rows.  The compressed stacks are written
-    into the buffers buf (by node count), which gain what they lack."""
+    within a row's reach whose nodes resolve its box, and dense on the rows
+    no rung resolves, in stacks of _dense_rows(n) rows.  The compressed
+    stacks are written into the buffers buf (by node count), which gain
+    what they lack."""
     fns = (model.mu, model.mu_prime)
     R, n = free.shape[0], (free.shape[-1] + 1) // 2
     if n < _DENSE_BELOW:
@@ -380,13 +400,16 @@ def _pairs(free: np.ndarray, model: EdgeMeanModel, buf: dict | None = None) -> _
     ab[:, 0] = free[:, :n]
     ab[:, 1, : n - 1] = free[:, n:]
     stacks, rows, left = [], [], np.arange(R)
+    # the half-width of each row's box, beta_n = 0 included
+    half = 0.5 * (ab.max(axis=-1) - ab.min(axis=-1)).max(axis=-1)
     for p in _CHEB_LADDER:
-        if left.size:
-            resolved, cheb = _cheb_iterate(ab, fns, p, buf)
+        tries = np.flatnonzero(half <= _NARROW_HALF_WIDTH) if p == _CHEB_LADDER[0] else left
+        if tries.size:
+            resolved, cheb = _cheb_iterate(ab[tries], fns, p, buf)
             if resolved.any():
                 stacks.append(cheb)
-                rows.append(left[resolved])
-            left, ab = left[~resolved], ab[~resolved]
+                rows.append(tries[resolved])
+                left = np.setdiff1d(left, rows[-1], assume_unique=True)
     size = _dense_rows(n)
     for k in range(0, left.size, size):
         stacks.append(_DenseIterate(free[left[k : k + size]], fns))

@@ -13,8 +13,8 @@ pinned beta*_n = 0.  L and epsilon are named schedules resolved against n
 
 Replications run in blocks of pairs._block_size(n) rows, sized by what a
 block of the fit holds: its dense n x n pair arrays below pairs._DENSE_BELOW
-nodes, its compressed rows (O(p n) floats each, p = 24 nodes on the first
-rung of the ladder) from there; with several workers a block has at most
+nodes, its compressed rows (O(p n) floats each, p = 24 nodes, the first
+rung without a gate) from there; with several workers a block has at most
 ceil(reps / workers) rows, so each worker gets one.  Within a block each
 replication still samples its graph and its noise on its own stream, in
 the order a lone replication would; then the whole block is fitted by one

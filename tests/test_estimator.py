@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpgraph import estimator, pairs
@@ -355,6 +355,13 @@ def compressed_backend(free, model, p):
     return pairs._Pairs([stack]) if resolved[0] else None
 
 
+def box_half_width(free):
+    """The half-width of a row's box, beta_n = 0 included, as the gate of
+    the 12-node rung reads it: the larger of its two axes'."""
+    n = (free.size + 1) // 2
+    return 0.5 * max(np.ptp(free[:n]), np.ptp(np.append(free[n:], 0.0)))
+
+
 def rung(op):
     """The node count of each stack of an operator, or "dense"."""
     return ["dense" if isinstance(s, pairs._DenseIterate) else s[0].lt.shape[-2]
@@ -383,9 +390,14 @@ def assert_backends_agree(got, want, n, rng):
 class TestPairOperator:
     """The compressed backend of the pair operator against the dense one."""
 
-    @settings(max_examples=16, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=24, deadline=None, database=None, derandomize=True)
+    # a logit box that 12 nodes resolve past the gate, a gated logit box at
+    # n = 2000, and a box only 32 nodes resolve
+    @example(half_width=0.2, n=100, model_name="logit", center=0.0, seed=0)
+    @example(half_width=0.17, n=2000, model_name="logit", center=0.0, seed=1)
+    @example(half_width=1.5, n=300, model_name="probit", center=0.5, seed=2)
     @given(
-        half_width=st.sampled_from([0.2, 1.0, 1.5, 2.2, 3.0]),
+        half_width=st.sampled_from([0.05, 0.1, 0.17, 0.2, 1.0, 1.5, 2.2, 3.0]),
         n=st.sampled_from([100, 300, 2000]),
         model_name=st.sampled_from(["probit", "logit"]),
         center=st.floats(-1.0, 1.0),
@@ -398,9 +410,14 @@ class TestPairOperator:
         free = box_free(n, half_width, seed, center)
         dense = dense_backend(free, model)
         rows = {p: compressed_backend(free, model, p) for p in pairs._CHEB_LADDER}
-        # 24 nodes resolve mu, mu' and mu(1-mu) up to half-width 1.0, and
-        # 32 up to 1.5; at 3 the trailing coefficients of mu(1-mu) reach
-        # 1e-11 to 1e-10 on every rung, so the row is dense
+        # 12 nodes resolve mu, mu' and mu(1-mu) on every box their gate lets
+        # in here (the probit reach is 0.18 or more at the strength-sum
+        # centres within +-0.34 that such a box has), 24 nodes up to
+        # half-width 1.0, and 32 up to 1.5; at 3 the trailing coefficients
+        # of mu(1-mu) reach 1e-11 to 1e-10 on every rung, so the row is dense
+        narrow = box_half_width(free) <= pairs._NARROW_HALF_WIDTH
+        if narrow:
+            assert rows[12] is not None
         if half_width <= 1.0:
             assert rows[24] is not None
         if half_width <= 1.5:
@@ -410,8 +427,11 @@ class TestPairOperator:
         for row in rows.values():
             if row is not None:
                 assert_backends_agree(row, dense, n, np.random.default_rng(seed))
-        # the operator takes the first rung that resolves the row
-        first = next((p for p, row in rows.items() if row is not None), "dense")
+        # the operator takes the first rung, within its reach, that resolves
+        # the row: only a box inside the gate tries 12 nodes (a logit row at
+        # half-width 0.2 resolves on 12 but takes 24)
+        reach = [p for p in pairs._CHEB_LADDER if narrow or p != 12]
+        first = next((p for p in reach if rows[p] is not None), "dense")
         assert rung(pairs._pairs(free[None], model)) == [first]
 
     @pytest.mark.parametrize("p", pairs._CHEB_LADDER)
@@ -420,7 +440,9 @@ class TestPairOperator:
         n = 300
         free = np.zeros(2 * n - 1)
         if which == "beta":
-            free[:n] = np.linspace(-1.0, 1.0, n)
+            # an alpha axis within the rung's reach
+            half_width = pairs._NARROW_HALF_WIDTH if p == 12 else 1.0
+            free[:n] = np.linspace(-half_width, half_width, n)
         row = compressed_backend(free, PROBIT, p)
         stack = row.mu().stacks[0]
         la, lb = stack.lt[0].swapaxes(-1, -2)
@@ -479,16 +501,18 @@ class TestPairOperator:
 
     @pytest.mark.parametrize("p", pairs._CHEB_LADDER)
     def test_strength_on_a_node_gets_a_one_hot_row(self, p):
+        # a box within the rung's reach, and two of its nodes
         n = 300
-        free = box_free(n, 1.0, 4)
+        half_width, node = (0.15, 10) if p == 12 else (1.0, 20)
+        free = box_free(n, half_width, 4)
         lo, hi = free[:n].min(), free[:n].max()
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * pairs._CHEB[p][0]
-        free[7], free[8] = nodes[5], nodes[20]
+        free[7], free[8] = nodes[5], nodes[node]
         row = compressed_backend(free, PROBIT, p)
         la = row.mu().stacks[0].lt[0, 0].T
         assert np.all(np.isfinite(la))
         np.testing.assert_array_equal(la[7], np.eye(p)[5])
-        np.testing.assert_array_equal(la[8], np.eye(p)[20])
+        np.testing.assert_array_equal(la[8], np.eye(p)[node])
         assert_backends_agree(row, dense_backend(free, PROBIT), n,
                               np.random.default_rng(1))
 
@@ -575,22 +599,23 @@ class TestPairOperator:
                 assert np.array_equal(q[r], qa[0])
 
     def test_one_block_with_every_rung_serves_each_row_as_if_alone(self):
-        # rows 1 and 3 on 24 nodes, rows 0 and 4 on 32, row 2 dense: each
-        # row's sums, Bernoulli sums and products equal those of its lone
-        # operator bit for bit, and the lone operator takes the same rung
+        # row 5 on 12 nodes, rows 1 and 3 on 24, rows 0 and 4 on 32, row 2
+        # dense: each row's sums, Bernoulli sums and products equal those of
+        # its lone operator bit for bit, and the lone operator takes the
+        # same rung
         n = 100
-        widths = (1.5, 0.5, 5.0, 1.0, 2.0)
+        widths = (1.5, 0.5, 5.0, 1.0, 2.0, 0.1)
         free = np.stack([box_free(n, h, 40 + k) for k, h in enumerate(widths)])
         op = pairs._pairs(free, PROBIT)
-        assert rung(op) == [24, 32, "dense"]
-        assert [r.tolist() for r in op.rows] == [[1, 3], [0, 4], [2]]
-        p = np.random.default_rng(7).standard_normal((5, 2 * n - 1))
+        assert rung(op) == [12, 24, 32, "dense"]
+        assert [r.tolist() for r in op.rows] == [[5], [1, 3], [0, 4], [2]]
+        p = np.random.default_rng(7).standard_normal((6, 2 * n - 1))
         q = {which: np.empty_like(p) for which in ("mu", "mu_prime")}
         for which in q:
             getattr(op, which)().products(p, q[which])
         got = {"mu": op.mu().sums(), "mu_prime": op.mu_prime().sums(),
                "bernoulli": op.mu().bernoulli().sums()}
-        for r, stack in ((0, 1), (1, 0), (2, 2), (3, 0), (4, 1)):
+        for r, stack in ((0, 2), (1, 1), (2, 3), (3, 1), (4, 2), (5, 0)):
             alone = pairs._pairs(free[r : r + 1], PROBIT)
             assert rung(alone) == [rung(op)[stack]]
             want = {"mu": alone.mu().sums(), "mu_prime": alone.mu_prime().sums(),
@@ -616,6 +641,45 @@ class TestPairOperator:
             sides, last = op.sums()
             np.testing.assert_allclose(np.append(sides[0], last), exact,
                                        rtol=0, atol=1e-14 * n)
+
+    def test_gate_decides_who_tries_12_nodes(self, monkeypatch):
+        # the gate reads the larger axis half-width, beta_n = 0 included: a
+        # row just inside it tries 12 nodes, a row just past it starts on
+        # 24, and an inside row that 12 nodes do not resolve (probit
+        # strength sums near -6) climbs to 24
+        n = 100
+        gate = pairs._NARROW_HALF_WIDTH
+        past = np.nextafter(gate, 1.0)
+        attempt, calls = pairs._cheb_iterate, []
+
+        def spy(ab, fns, p, buf):
+            calls.append((p, len(ab)))
+            return attempt(ab, fns, p, buf)
+
+        monkeypatch.setattr(pairs, "_cheb_iterate", spy)
+        spread = np.linspace(-1.0, 1.0, n)
+        cases = [
+            (np.concatenate([gate * spread, np.zeros(n - 1)]), [12]),
+            (np.concatenate([past * spread, np.zeros(n - 1)]), [24]),
+            # only beta_n = 0 widens the beta axis
+            (np.concatenate([np.zeros(n), np.full(n - 1, 2 * gate)]), [12]),
+            (np.concatenate([np.zeros(n), np.full(n - 1, 2 * past)]), [24]),
+            (np.concatenate([0.15 * spread - 6.0, np.zeros(n - 1)]), [12, 24]),
+        ]
+        for free, tried in cases:
+            calls.clear()
+            assert rung(pairs._pairs(free[None], PROBIT)) == tried[-1:]
+            assert calls == [(p, 1) for p in tried]
+        # rows of one block try the rungs their own boxes reach
+        calls.clear()
+        op = pairs._pairs(np.stack([free for free, _ in cases]), PROBIT)
+        assert rung(op) == [12, 24]
+        assert [r.tolist() for r in op.rows] == [[0, 2], [1, 3, 4]]
+        assert calls == [(12, 3), (24, 3)]
+
+    def test_block_size_is_set_by_24_nodes(self):
+        # the 12-node rung does not change the harness's blocks
+        assert [pairs._block_size(n) for n in (64, 100, 200, 1000)] == [54, 40, 23, 5]
 
     def test_small_n_stays_dense(self):
         n = pairs._DENSE_BELOW - 1
@@ -656,12 +720,14 @@ class TestPairOperator:
 
     def test_compressed_block_rows_equal_lone_fits(self):
         n = 200
+        # the last truth is narrow enough for 12 nodes
         rows = [expected_bidegree(random_theta(n, scale, seed), PROBIT)
-                for scale, seed in ((0.3, 1), (1.0, 2), (0.6, 3))]
+                for scale, seed in ((0.3, 1), (1.0, 2), (0.6, 3), (0.1, 4))]
         zout = np.array([r[0] for r in rows])
         zin = np.array([r[1] for r in rows])
         start = np.zeros(2 * n - 1)
         block = estimator._newton_block(zout, zin, PROBIT, start)
+        assert rung(pairs._pairs(block.free[3:], PROBIT)) == [12]
         for k, z in enumerate(rows):
             alone = estimator._newton_block(zout[k : k + 1], zin[k : k + 1], PROBIT,
                                             start)
@@ -975,12 +1041,13 @@ class TestVarianceEstimates:
             variance_estimates(theta, PROBIT)
 
     @pytest.mark.parametrize("model", [PROBIT, LOGIT], ids=["probit", "logit"])
-    @pytest.mark.parametrize("n", [60, 300], ids=["dense", "compressed"])
+    @pytest.mark.parametrize("n, scale", [(60, 0.5), (300, 0.5), (2000, 0.1)],
+                             ids=["dense", "compressed", "narrow"])
     @pytest.mark.parametrize("release", [True, False], ids=["release", "raw"])
-    def test_fit_carries_the_variances_at_its_estimate(self, model, n, release):
+    def test_fit_carries_the_variances_at_its_estimate(self, model, n, scale, release):
         # the fit takes its sums from its last iterate; they must be those
         # of variance_estimates at the returned estimate, bit for bit
-        z = expected_bidegree(random_theta(n, 0.5, n), model)
+        z = expected_bidegree(random_theta(n, scale, n), model)
         privacy = PrivacyParams.from_epsilon(2.0) if release else None
         if release:
             z = NoisyBiDegree(np.rint(z[0]), np.rint(z[1]), privacy)
@@ -991,6 +1058,9 @@ class TestVarianceEstimates:
         assert fit.shared_var == vi.shared_var
         assert fit.privacy_var == vi.privacy_var
         assert (fit.privacy_var > 0.0) == release
+        if n == 2000:
+            # the large-n case: the estimate's box is on 12 nodes
+            assert rung(pairs._pairs(fit.theta.to_free()[None], model)) == [12]
 
 
 def _fitted(n=40, seed=19):

@@ -477,6 +477,8 @@ class TestEdgeListParsing:
         ("\r", "expected '<src> <dst>'"),
     ], ids=["letter", "lone-cr"])
     def test_non_plain_byte_in_last_piece_falls_back(self, bad, message, monkeypatch):
+        # pieces of 64 KiB, so that the 138,658-character text spans three
+        monkeypatch.setattr(graph, "_PLAIN_CHUNK", 1 << 16)
         text = _bench_shaped_text(200, seed=5)
         assert len(text) > 2 * graph._PLAIN_CHUNK  # several pieces
         head, last = text.rstrip("\n").rsplit("\n", 1)
