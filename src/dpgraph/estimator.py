@@ -402,8 +402,7 @@ def _newton_block(
             reason[row] = why
 
     # the start is shared, so one operator row serves every row
-    buf: dict = {}
-    pairs = _pairs(init[None], model, buf)
+    pairs = _pairs(init[None], model)
     resid = used - pairs.mu().sums()[0]
     # each expected degree lies strictly inside (0, n-1), so a used degree
     # outside it admits no solution; summing the out-equations minus the
@@ -443,16 +442,14 @@ def _newton_block(
         if live.size == 0:
             break
 
-        # the new operator is built before the old mu' one goes: its
-        # compressed L^T overwrites the old one's buffer, so a block holds
-        # one L^T stack, and its dense strength sums exist before the old mu'
-        # matrices are dropped, so at most one n x n block is free at a
-        # time, which the allocator reuses instead of handing it back to the
-        # system (the anchor cell took 3x the page faults and 0.2 s more on
-        # the dense backend when both went at once); the final pass keeps
-        # this order
-        pairs = _pairs(free_l, model, buf)
+        # the old operator goes before the next one is built, so the
+        # allocator reuses its compressed L^T and a block holds one L^T stack
+        # at a time (built first, the anchor block's traced peak read 127
+        # against 85 KB a row); a dense stack's freed pages go back to the
+        # system instead, which costs dense cells minor page faults (n = 63:
+        # 34k to 55k per 1,000 fits); the final pass keeps this order
         w = None
+        pairs = _pairs(free_l, model)
         resid = used[live] - pairs.mu().sums()[0]
         if not np.all(np.isfinite(resid)):
             raise NumericalFailure(f"non-finite residual at iteration {it}")
@@ -464,8 +461,8 @@ def _newton_block(
     # every other row has its reason by now
     done = np.flatnonzero([why is None for why in reason])
     if done.size:
-        pairs = _pairs(free[done], model, buf)
         w = None
+        pairs = _pairs(free[done], model)
         expected, done_sums = _plugin_sums(pairs)
         resid = used[done] - expected
         if not np.all(np.isfinite(resid)):

@@ -61,9 +61,8 @@ anchor-style releases (flat probit truth, epsilon = 2):
   below n = 128 would run faster dense, but a row's backend must not
   depend on how many rows share its block.
 
-A block holds one compressed stack per rung: each iterate's L^T and grids
-are written into the buffers of the operator they replace (the buf of
-_pairs).  A row whose fit stops is left out of the next operator; no
+Each operator allocates the arrays it holds and frees them when it is
+dropped.  A row whose fit stops is left out of the next operator; no
 operator is ever cut down to some of its rows.
 """
 
@@ -125,19 +124,17 @@ def _cheb_nodes(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, lo == hi
 
 
-def _barycentric(
-    x: np.ndarray, nodes: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _barycentric(x: np.ndarray, nodes: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """L^T (..., p, n) for stacked points x (..., n) and their nodes and
     zero-width mask from _cheb_nodes: column j holds the weights that
-    interpolate values at the nodes to the point x[..., j], written into
-    out when given.  A point on a node gets a one-hot column, 1 on that
-    node.  An axis of zero width (every axis of the start theta = 0) has p
-    coinciding nodes, and its L^T is written directly as one-hot on node 0
-    in every column, without the passes over its entries; the passes run
-    only on stacks with an axis of nonzero width."""
+    interpolate values at the nodes to the point x[..., j].  A point on a
+    node gets a one-hot column, 1 on that node.  An axis of zero width
+    (every axis of the start theta = 0) has p coinciding nodes, and its L^T
+    is written directly as one-hot on node 0 in every column, without the
+    passes over its entries; the passes run only on stacks with an axis of
+    nonzero width."""
     p = nodes.shape[-1]
-    lt = np.empty(x.shape[:-1] + (p, x.shape[-1])) if out is None else out
+    lt = np.empty(x.shape[:-1] + (p, x.shape[-1]))
     if not flat.all():
         with np.errstate(divide="ignore", invalid="ignore"):
             np.subtract(x[..., None, :], nodes[..., :, None], out=lt)
@@ -174,16 +171,6 @@ def _cheb_resolved(c: np.ndarray) -> np.ndarray:
         coef = np.abs(dct @ c[left] @ dct.T)
         resolved[left] = tail[left] <= _CHEB_TAIL * coef.max(axis=(-2, -1))
     return resolved
-
-
-def _compact(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """a[rows] for ascending row indices, in place: row rows[d] moves to slot
-    d <= rows[d] of a, and the first rows.size slots are returned as a view.
-    Each row is copied whole, so its floats are unchanged."""
-    for d, s in enumerate(rows):
-        if d != s:
-            a[d] = a[s]
-    return a[: rows.size]
 
 
 def _vecmat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -268,12 +255,6 @@ class _ChebPairs:
         out[:, n:] -= d * p[:, : n - 1]
 
 
-def _cheb_buffers(rows: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Room for a compressed stack of the given number of rows on p nodes:
-    L^T (rows, 2, p, n) and the mu, mu' and mu(1-mu) grids (3, rows, p, p)."""
-    return np.empty((rows, 2, p, n)), np.empty((3, rows, p, p))
-
-
 def _dense_rows(n: int) -> int:
     """Rows per dense stack, of at most _DENSE_ELEMENTS floats per array."""
     return max(1, _DENSE_ELEMENTS // (n * n))
@@ -283,12 +264,12 @@ def _dense_rows(n: int) -> int:
 # by what a block of the Newton core holds, which bounds the harness's extra
 # memory whatever n is.  Below _DENSE_BELOW a block is one dense stack.
 # From there a row is compressed, and sized by 24 nodes, the first rung that
-# every row reaches (p = _CHEB_LADDER[1]): it holds its L^T (2 p n floats) and
-# its three p x p grids (_cheb_buffers), and a block at most
+# every row reaches (p = _CHEB_LADDER[1]): its operator holds its L^T (2 p n
+# floats) and its three p x p grids (_cheb_iterate), and a block at most
 # _CHEB_BLOCK_FLOATS of those (2 MB: 54 rows at n = 64, 40 at n = 100, 23 at
-# n = 200, 5 at n = 1000).  Rows on another rung get its buffers when they
-# occur (the 12-node ones take at most half the floats), and rows whose box
-# is too wide for every rung go dense (_dense_rows).
+# n = 200, 5 at n = 1000).  Rows on 12 nodes hold at most half those floats,
+# rows on 32 nodes more, and rows whose box is too wide for every rung go
+# dense (_dense_rows).
 _CHEB_BLOCK_FLOATS = 1 << 18
 
 
@@ -299,33 +280,27 @@ def _block_size(n: int) -> int:
     return max(1, _CHEB_BLOCK_FLOATS // (2 * p * n + 3 * p * p))
 
 
-def _cheb_iterate(ab: np.ndarray, fns, p: int, buf: dict) -> tuple[np.ndarray, tuple]:
+def _cheb_iterate(ab: np.ndarray, fns, p: int) -> tuple[np.ndarray, tuple]:
     """(resolved, (mu, mu')) for stacked boxes ab (R, 2, n), each row's alpha
     and beta (beta_n = 0): the mask of the rows whose mu, mu' and mu(1-mu)
-    grids p nodes resolve, and the compressed stacks of those rows.  The
-    grids are evaluated and tested first, and L^T is built only for the rows
-    they pass.  Both live in the front of buf[p] (_cheb_buffers), which is
-    allocated when it is missing or has too few rows."""
-    R, n = ab.shape[0], ab.shape[-1]
-    if p not in buf or len(buf[p][0]) < R:
-        buf[p] = _cheb_buffers(R, n, p)
+    grids p nodes resolve, and the compressed stacks of those rows, which
+    own their L^T (R', 2, p, n) and grids (3, R', p, p).  The grids are
+    evaluated and tested first, and L^T is built only for the rows they
+    pass."""
     nodes, flat = _cheb_nodes(ab, p)
     # the mu, mu' and mu(1-mu) grids, filled into one array for the tail
     # check; the third slot holds the node sums until mu and mu' are filled
-    grids = buf[p][1][:, :R]
+    grids = np.empty((3, ab.shape[0], p, p))
     grid = np.add(nodes[:, 0, :, None], nodes[:, 1, None, :], out=grids[2])
     for k, fn in enumerate(fns):
         grids[k] = fn(grid)
     np.subtract(1.0, grids[0], out=grids[2])
     grids[2] *= grids[0]
     resolved = _cheb_resolved(grids).all(axis=0)
-    narrow = np.flatnonzero(resolved)
-    if narrow.size < R:
-        for g in grids:
-            _compact(g, narrow)
-        grids = grids[:, : narrow.size]
-        ab, nodes, flat = ab[narrow], nodes[narrow], flat[narrow]
-    lt = _barycentric(ab, nodes, flat, buf[p][0][: narrow.size])
+    if not resolved.all():
+        grids = grids[:, resolved]
+        ab, nodes, flat = ab[resolved], nodes[resolved], flat[resolved]
+    lt = _barycentric(ab, nodes, flat)
     ones = lt.sum(axis=-1)
     diag = ab[:, 0] + ab[:, 1]
     return resolved, tuple(
@@ -384,18 +359,16 @@ class _Pairs:
             out[r] = q
 
 
-def _pairs(free: np.ndarray, model: EdgeMeanModel, buf: dict | None = None) -> _Pairs:
+def _pairs(free: np.ndarray, model: EdgeMeanModel) -> _Pairs:
     """The pair operator at stacked free coordinates: dense below
     _DENSE_BELOW nodes, else compressed on the first rung of _CHEB_LADDER
     within a row's reach whose nodes resolve its box, and dense on the rows
-    no rung resolves, in stacks of _dense_rows(n) rows.  The compressed
-    stacks are written into the buffers buf (by node count), which gain
-    what they lack."""
+    no rung resolves, in stacks of _dense_rows(n) rows.  Every stack owns
+    its arrays, which go when the operator is dropped."""
     fns = (model.mu, model.mu_prime)
     R, n = free.shape[0], (free.shape[-1] + 1) // 2
     if n < _DENSE_BELOW:
         return _Pairs([_DenseIterate(free, fns)])
-    buf = {} if buf is None else buf
     ab = np.zeros((R, 2, n))
     ab[:, 0] = free[:, :n]
     ab[:, 1, : n - 1] = free[:, n:]
@@ -405,7 +378,7 @@ def _pairs(free: np.ndarray, model: EdgeMeanModel, buf: dict | None = None) -> _
     for p in _CHEB_LADDER:
         tries = np.flatnonzero(half <= _NARROW_HALF_WIDTH) if p == _CHEB_LADDER[0] else left
         if tries.size:
-            resolved, cheb = _cheb_iterate(ab[tries], fns, p, buf)
+            resolved, cheb = _cheb_iterate(ab[tries], fns, p)
             if resolved.any():
                 stacks.append(cheb)
                 rows.append(tries[resolved])

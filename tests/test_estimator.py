@@ -351,7 +351,7 @@ def compressed_backend(free, model, p):
     n = (free.size + 1) // 2
     ab = np.zeros((1, 2, n))
     ab[0, 0], ab[0, 1, : n - 1] = free[:n], free[n:]
-    resolved, stack = pairs._cheb_iterate(ab, (model.mu, model.mu_prime), p, {})
+    resolved, stack = pairs._cheb_iterate(ab, (model.mu, model.mu_prime), p)
     return pairs._Pairs([stack]) if resolved[0] else None
 
 
@@ -652,9 +652,9 @@ class TestPairOperator:
         past = np.nextafter(gate, 1.0)
         attempt, calls = pairs._cheb_iterate, []
 
-        def spy(ab, fns, p, buf):
+        def spy(ab, fns, p):
             calls.append((p, len(ab)))
-            return attempt(ab, fns, p, buf)
+            return attempt(ab, fns, p)
 
         monkeypatch.setattr(pairs, "_cheb_iterate", spy)
         spread = np.linspace(-1.0, 1.0, n)
@@ -752,9 +752,9 @@ class TestPairOperator:
         work = {}
         build, solve = estimator._pairs, estimator._pcg_block
 
-        def count_builds(free, model, buf=None):
+        def count_builds(free, model):
             work["builds"] += len(free)
-            return build(free, model, buf)
+            return build(free, model)
 
         def count_solves(v_diag, v_2n_2n, w, b):
             work["solved"] += len(b)

@@ -467,8 +467,8 @@ class TestBlockInvariance:
         dense_stacks = []
         build = estimator._pairs
 
-        def spy(free, model, buf=None):
-            op = build(free, model, buf)
+        def spy(free, model):
+            op = build(free, model)
             dense = [s for s in op.stacks if isinstance(s, pairs._DenseIterate)]
             dense_stacks.append(len(dense))
             return op
@@ -538,8 +538,8 @@ class TestBlockInvariance:
         split = []
         build = estimator._pairs
 
-        def spy(free, model, buf=None):
-            op = build(free, model, buf)
+        def spy(free, model):
+            op = build(free, model)
             split.append(op.rows is not None)  # a compressed and a dense stack
             return op
 
@@ -606,18 +606,34 @@ class TestBlockSizes:
     def test_anchor_block_holds_one_lt_stack(self):
         # a compressed row's L^T on 32 nodes is 2 * 32 * 100 floats (50 KB)
         # and its three grids 24 KB (38 KB and 14 KB on 24 nodes): with one
-        # L^T stack per rung in a block, the traced peak of an anchor block
-        # stays below three 32-node L^T stacks (150 KB) a row
+        # operator's L^T at a time in a block, the traced peak of an anchor
+        # block stays below three 32-node L^T stacks (150 KB) a row
         cfg = ExperimentConfig(n=100, eps_spec="fixed:2", reps=1000, seed=1)
+        assert self._traced_peak_per_row(cfg, 500) <= 150 * 1024
+
+    def test_ramp_block_frees_each_operator(self):
+        # the logit sqrtlogn ramp at n = 200 climbs to 32 nodes, whose L^T
+        # is 2 * 32 * 200 floats (100 KB) a row; its first block's traced
+        # peak read 342 KB a row when each operator owns its arrays, and
+        # 451 KB when a block kept one buffer per rung, regrown whenever a
+        # rung's candidate rows outgrew it
+        cfg = ExperimentConfig(n=200, L_spec="sqrtlogn", eps_spec="fixed:2", reps=100,
+                               seed=1, model="logit")
+        assert self._traced_peak_per_row(cfg, 0) <= 400 * 1024
+
+    @staticmethod
+    def _traced_peak_per_row(cfg, start):
+        """The traced allocation peak per row of the block of the harness's
+        size from rep start, after an untraced block warms up."""
         rows = simulation._block_size(cfg.n)
         simulation._run_block(cfg, range(rows))
         tracemalloc.start()
         try:
-            simulation._run_block(cfg, range(500, 500 + rows))
+            simulation._run_block(cfg, range(start, start + rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / rows <= 150 * 1024
+        return peak / rows
 
 
 class TestQqExport:
