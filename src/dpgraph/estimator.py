@@ -25,13 +25,9 @@ diagnostics s_approx_error and convergence_diagnostics.
 Every O(n^2) quantity of a fit (the residual, the diagonal of V, the
 products with its cross block, the variance sums) is a row sum, column
 sum or product of a pair matrix f(alpha_i + beta_j).  One pair operator
-(pairs._Pairs) serves them all: below n = 64 from the dense n x n
-matrices (O(n^2) per product), from there on from a tensor Chebyshev
-interpolant on p x p nodes (O(p n) per product), stacked over the rows of
-a block.  Each row takes the first rung of the node ladder, p = 12 (only
-for a box of half-width at most pairs._NARROW_HALF_WIDTH), then p = 24,
-then p = 32, whose nodes resolve its box of strengths, and a box too wide
-for every rung goes dense.
+(pairs._Pairs) serves them all, stacked over the rows of a block, from
+the dense n x n matrices or a tensor Chebyshev interpolant of each row's
+box; pairs.py states which backend and node count a row gets, and why.
 
 One stacked solver fits R degree sequences at once (the simulation
 harness's blocks of replications); newton_solve is its R = 1 case.  Its
@@ -49,7 +45,7 @@ or when the linear solve goes singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -142,17 +138,6 @@ class JacobianMatrix:
     @property
     def v_diag(self) -> np.ndarray:
         return _DensePairs(self.w).sums()[0]
-
-    @property
-    def boundary(self) -> np.ndarray:
-        """The derived boundary column v_{2n,i} = v_ii - sum_{j != i} v_ij.
-
-        Equals w[i, n] for i <= n-1 and 0 for every other row.
-        """
-        n = self.n
-        out = np.zeros(2 * n - 1)
-        out[: n - 1] = self.w[: n - 1, n - 1]
-        return out
 
     @property
     def v_2n_2n(self) -> float:
@@ -512,23 +497,20 @@ def newton_solve(
     if theta.n != n:
         raise DomainError("init has wrong dimension")
     fit = _newton_block(zout[None], zin[None], model, theta.to_free())
-    result = FitResult(
+    var = dict.fromkeys(("var_diag", "shared_var", "privacy_var"))
+    if fit.reason[0] is None:
+        vi = fit.variance(z.params if isinstance(z, NoisyBiDegree) else None)
+        var = {"var_diag": vi.z_diag[0], "shared_var": float(vi.shared_var[0]),
+               "privacy_var": float(vi.privacy_var[0])}
+    return FitResult(
         theta=ParameterVector.from_free(fit.free[0]),
         reason=fit.reason[0],
         iterations=int(fit.iterations[0]),
         residual_norm=float(fit.residual_norm[0]),
         model=model.name,
         epsilon=epsilon,
+        **var,
     )
-    if result.exists:
-        vi = fit.variance(z.params if isinstance(z, NoisyBiDegree) else None)
-        result = replace(
-            result,
-            var_diag=vi.z_diag[0],
-            shared_var=float(vi.shared_var[0]),
-            privacy_var=float(vi.privacy_var[0]),
-        )
-    return result
 
 
 @dataclass(frozen=True)

@@ -340,14 +340,8 @@ class _Pairs:
         if self.rows is None:
             return results[0]
         # each stack's sums, placed at its rows
-        size = sum(r.size for r in self.rows)
-        merged = []
-        for arrays in zip(*results):
-            out = np.empty((size,) + arrays[0].shape[1:])
-            for a, r in zip(arrays, self.rows):
-                out[r] = a
-            merged.append(out)
-        return tuple(merged)
+        order = np.argsort(np.concatenate(self.rows))
+        return tuple(np.concatenate(arrays)[order] for arrays in zip(*results))
 
     def products(self, p: np.ndarray, out: np.ndarray) -> None:
         if self.rows is None:

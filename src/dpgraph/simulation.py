@@ -11,10 +11,8 @@ so alpha*_1 = L down to alpha*_n = 0, with beta* = alpha* except the
 pinned beta*_n = 0.  L and epsilon are named schedules resolved against n
 (natural logarithms throughout).
 
-Replications run in blocks of pairs._block_size(n) rows, sized by what a
-block of the fit holds: its dense n x n pair arrays below pairs._DENSE_BELOW
-nodes, its compressed rows (O(p n) floats each, p = 24 nodes, the first
-rung without a gate) from there; with several workers a block has at most
+Replications run in blocks of pairs._block_size(n) rows, sized in pairs.py
+by what a block of the fit holds; with several workers a block has at most
 ceil(reps / workers) rows, so each worker gets one.  Within a block each
 replication still samples its graph and its noise on its own stream, in
 the order a lone replication would; then the whole block is fitted by one

@@ -1,6 +1,7 @@
 """Moment system, structured Jacobian, Newton solver, and inference."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -176,12 +177,10 @@ class TestJacobian:
             np.diagonal(v)[n:], cross.sum(axis=0), rtol=1e-12
         )
 
-    def test_boundary_column(self):
+    def test_boundary_scalar(self):
         theta = random_theta(7, 1.0, 13)
         j = jacobian(theta, PROBIT)
         n = theta.n
-        np.testing.assert_allclose(j.boundary[: n - 1], j.w[: n - 1, n - 1], rtol=1e-12)
-        assert np.all(j.boundary[n - 1 :] == 0)
         np.testing.assert_allclose(j.v_2n_2n, j.w[:, n - 1].sum(), rtol=1e-12)
 
 
@@ -345,6 +344,26 @@ def dense_backend(free, model):
     return pairs._Pairs([pairs._DenseIterate(free[None], (model.mu, model.mu_prime))])
 
 
+def dense_oracle(free):
+    """The sums of one row's dense probit mu, mu' and mu(1-mu) pair
+    operators, and the math.fsum row and column sums of each matrix."""
+    dense = dense_backend(free, PROBIT)
+    sums, exact = [], []
+    for op in (dense.mu(), dense.mu_prime(), dense.mu().bernoulli()):
+        m = op.stacks[0].m[0]
+        sums.append(op.sums())
+        exact.append([math.fsum(v) for v in (*m, *m.T)])
+    return sums, exact
+
+
+@functools.lru_cache(maxsize=1)
+def flat_oracle_at_n_2000():
+    """dense_oracle at theta = 0, n = 2000, taken once for the start
+    operator's test and the dense sums' test at half-width 0 (whose
+    box_free is all zeros); it keeps only sums, no n x n matrix."""
+    return dense_oracle(np.zeros(2 * 2000 - 1))
+
+
 def compressed_backend(free, model, p):
     """The compressed operator of one row on p nodes, or None when its box
     is too wide for them."""
@@ -485,18 +504,15 @@ class TestPairOperator:
         free = np.zeros(2 * n - 1)
         op = pairs._pairs(free[None], PROBIT)
         assert op.rows is None and isinstance(op.stacks[0][0], pairs._ChebPairs)
-        dense = dense_backend(free, PROBIT)
-        for got, want in ((op.mu(), dense.mu()), (op.mu_prime(), dense.mu_prime()),
-                          (op.mu().bernoulli(), dense.mu().bernoulli())):
-            m = want.stacks[0].m[0]
-            exact = [math.fsum(v) for v in (*m, *m.T)]
+        _, exact = flat_oracle_at_n_2000()
+        for got, want in zip((op.mu(), op.mu_prime(), op.mu().bernoulli()), exact):
             sides, last = got.sums()
-            np.testing.assert_allclose(np.append(sides[0], last), exact,
+            np.testing.assert_allclose(np.append(sides[0], last), want,
                                        rtol=0, atol=1e-14 * n)
         p = np.random.default_rng(2).standard_normal((3, 2 * n - 1))
         q_got, q_want = np.empty_like(p), np.empty_like(p)
         op.mu_prime().products(p, q_got)
-        dense.mu_prime().products(p, q_want)
+        dense_backend(free, PROBIT).mu_prime().products(p, q_want)
         np.testing.assert_allclose(q_got, q_want, rtol=0, atol=1e-14 * n)
 
     @pytest.mark.parametrize("p", pairs._CHEB_LADDER)
@@ -634,12 +650,9 @@ class TestPairOperator:
         # drifted 3.0e-11 from math.fsum at theta = 0
         n = 2000
         free = box_free(n, half_width, 9)
-        dense = dense_backend(free, PROBIT)
-        for op in (dense.mu(), dense.mu_prime(), dense.mu().bernoulli()):
-            m = op.stacks[0].m[0]
-            exact = [math.fsum(v) for v in (*m, *m.T)]
-            sides, last = op.sums()
-            np.testing.assert_allclose(np.append(sides[0], last), exact,
+        sums, exact = flat_oracle_at_n_2000() if half_width == 0.0 else dense_oracle(free)
+        for (sides, last), want in zip(sums, exact):
+            np.testing.assert_allclose(np.append(sides[0], last), want,
                                        rtol=0, atol=1e-14 * n)
 
     def test_gate_decides_who_tries_12_nodes(self, monkeypatch):
@@ -1061,6 +1074,20 @@ class TestVarianceEstimates:
         if n == 2000:
             # the large-n case: the estimate's box is on 12 nodes
             assert rung(pairs._pairs(fit.theta.to_free()[None], model)) == [12]
+
+    @pytest.mark.parametrize("reason", ["range", "max_iter"])
+    def test_nonexistent_fit_carries_no_variances(self, reason, monkeypatch):
+        # a fit that does not exist has no estimate to take variances at
+        eo, ei = expected_bidegree(linear_ramp_theta(12, 0.8), PROBIT)
+        z_out, z_in = np.rint(eo + 0.4), np.rint(ei + 0.4)
+        if reason == "range":
+            z_out[0] = 0.0
+        else:
+            monkeypatch.setattr(estimator, "_NEWTON_MAX_ITER", 1)
+        z = NoisyBiDegree(z_out, z_in, PrivacyParams.from_epsilon(2.0))
+        fit = newton_solve(z, PROBIT)
+        assert fit.reason == reason
+        assert fit.var_diag is None and fit.shared_var is None and fit.privacy_var is None
 
 
 def _fitted(n=40, seed=19):
