@@ -51,8 +51,6 @@ from .privacy import (
     NoisyBiDegree,
     PrivacyParams,
     deviation_bound,
-    discrete_laplace_pmf,
-    discrete_laplace_sample,
     privatize,
 )
 from .simulation import (

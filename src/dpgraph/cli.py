@@ -113,11 +113,14 @@ def _dump_json(path: str, obj: dict) -> None:
 
 def cmd_privatize(args) -> int:
     params = PrivacyParams.from_epsilon(args.epsilon)  # before touching input
-    if args.seed < 0:
-        raise DomainError(f"--seed must be non-negative, got {args.seed}")
+    if args.seed is not None:
+        if args.seed < 0:
+            raise DomainError(f"--seed must be non-negative, got {args.seed}")
+        print("dpgraph: a seeded release is only as private as its seed is secret",
+              file=sys.stderr)
     text = _read_text(args.edge_list)
     graph = parse_edge_list(text)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(args.seed)  # no seed: fresh OS entropy
     bidegree = degrees(graph)
     noisy = privatize(bidegree, args.epsilon, rng)
     _dump_json(args.out, noisy.to_json_dict(seed=args.seed))
@@ -362,12 +365,13 @@ def build_parser() -> _Parser:
             "Read a 1-based edge list ('src dst' per line, '#' comments, "
             "optional 'n=<count>' header), compute its bi-degree sequence, "
             "and write the noisy release as JSON "
-            '{"n", "epsilon", "z_out", "z_in", "seed"}.'
+            '{"n", "epsilon", "z_out", "z_in"}, plus "seed" with --seed.'
         ),
     )
     p.add_argument("edge_list", help="path to the edge-list file")
     p.add_argument("--epsilon", type=float, required=True, help="privacy budget > 0")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, help="RNG seed for a reproducible test release, "
+                   "only as private as the seed is secret (default: OS entropy)")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_privatize)
 

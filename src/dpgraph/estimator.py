@@ -590,8 +590,8 @@ class VarianceInputs:
 
 
 def _noise_sum_variance(n: int, privacy: PrivacyParams | None) -> float:
-    """s_n^2 = (2n-1) * 2 lam / (1-lam)^2: the 2n-1 noise draws that enter
-    the solved equations (0 for raw degrees)."""
+    """s_n^2: the variance of the 2n-1 noise draws that enter the solved
+    equations, each PrivacyParams.noise_variance (0 for raw degrees)."""
     return (2 * n - 1) * privacy.noise_variance if privacy is not None else 0.0
 
 

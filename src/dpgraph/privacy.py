@@ -1,4 +1,4 @@
-"""Discrete Laplace noise and edge-differentially-private degree release.
+"""The release law and edge-differentially-private degree release.
 
 The released statistic is the bi-degree sequence.  Adding or removing one
 directed edge moves one out-degree and one in-degree by one each, so the
@@ -7,13 +7,13 @@ noise with parameter lambda to every coordinate therefore gives
 epsilon-edge differential privacy with epsilon = -2 log(lambda), i.e.
 lambda = exp(-epsilon/2).
 
-The noise law is the two-sided geometric
+PrivacyParams(epsilon) owns that law: lambda, the variance, the pmf
 
     P(X = x) = ((1 - lambda) / (1 + lambda)) * lambda^|x|,   x integer,
 
-with mean 0 and variance 2 lambda / (1 - lambda)^2.  It is sampled exactly
-as the difference of two independent geometric counts (failures before the
-first success at success probability 1 - lambda), each drawn by inversion:
+(mean 0, variance 2 lambda / (1 - lambda)^2) and the sampler.  A draw is
+the difference of two independent geometric counts (failures before the
+first success at success probability 1 - lambda), each by inversion:
 floor(log(U) / log(lambda)) for U uniform on (0, 1].
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -33,15 +32,14 @@ SENSITIVITY = 2
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget epsilon with its derived noise constants.
+    """The release law at budget epsilon: discrete Laplace noise with
+    lam = exp(-epsilon / SENSITIVITY) on every released degree.
 
-    lam = exp(-epsilon/2) is the discrete Laplace parameter and
     kappa = 2/(-log lam) = 4/epsilon is the scale entering the degree
     deviation bound.
     """
 
     epsilon: float
-    sensitivity: ClassVar[int] = SENSITIVITY
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -55,7 +53,7 @@ class PrivacyParams:
 
     @property
     def lam(self) -> float:
-        return math.exp(-self.epsilon / 2.0)
+        return math.exp(-self.epsilon / SENSITIVITY)
 
     @property
     def kappa(self) -> float:
@@ -65,6 +63,23 @@ class PrivacyParams:
     def noise_variance(self) -> float:
         """Per-coordinate noise variance 2 lam / (1 - lam)^2."""
         return 2.0 * self.lam / (1.0 - self.lam) ** 2
+
+    def pmf(self, x) -> np.ndarray:
+        """P(X = x) = ((1-lam)/(1+lam)) * lam^|x| for integer x."""
+        lam = self.lam
+        return (1.0 - lam) / (1.0 + lam) * lam ** np.abs(np.asarray(x, dtype=float))
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size i.i.d. int64 draws from 2 * size uniforms: those of every
+        draw's first geometric count, then those of its second.  Where lam
+        underflows to 0 the law is the point mass at 0 and no uniform is
+        drawn."""
+        if self.lam == 0.0:
+            return np.zeros(size, dtype=np.int64)
+        # 1 - random() lies in (0, 1], avoiding log(0)
+        u = 1.0 - rng.random((2, size))
+        g = np.floor(np.log(u) / math.log(self.lam)).astype(np.int64)
+        return g[0] - g[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,37 +114,6 @@ class NoisyBiDegree:
         return out
 
 
-def discrete_laplace_pmf(x, lam: float) -> np.ndarray | float:
-    """P(X = x) = ((1-lam)/(1+lam)) * lam^|x| for integer x."""
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must lie in (0, 1)")
-    xa = np.abs(np.asarray(x, dtype=float))
-    out = (1.0 - lam) / (1.0 + lam) * lam**xa
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _geometric(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    # failures before first success at success prob 1-lam, by inversion;
-    # 1 - random() lies in (0, 1], avoiding log(0)
-    u = 1.0 - rng.random(size)
-    return np.floor(np.log(u) / math.log(lam)).astype(np.int64)
-
-
-def discrete_laplace_sample(
-    lam: float, rng: np.random.Generator, size: int | None = None
-) -> int | np.ndarray:
-    """Draw from the discrete Laplace law with parameter lam in (0, 1).
-
-    The difference of two i.i.d. geometric counts has exactly the target
-    pmf; two uniforms per draw, no rejection.
-    """
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must lie in (0, 1)")
-    m = 1 if size is None else int(size)
-    noise = _geometric(lam, m, rng) - _geometric(lam, m, rng)
-    return int(noise[0]) if size is None else noise
-
-
 def privatize(
     d: BiDegree, epsilon: float, rng: np.random.Generator
 ) -> NoisyBiDegree:
@@ -138,17 +122,10 @@ def privatize(
     Adds 2n independent discrete Laplace draws at lam = exp(-epsilon/2):
     first the n out-degree noises, then the n in-degree noises.  All n
     in-degrees are privatized even though downstream estimation drops one
-    equation.  For epsilon so large that lam underflows to 0.0 the noise is
-    exactly zero (the point-mass limit of the law).
+    equation.
     """
     params = PrivacyParams.from_epsilon(epsilon)
-    n = d.n
-    if params.lam == 0.0:
-        e_plus = np.zeros(n, dtype=np.int64)
-        e_minus = np.zeros(n, dtype=np.int64)
-    else:
-        e_plus = discrete_laplace_sample(params.lam, rng, size=n)
-        e_minus = discrete_laplace_sample(params.lam, rng, size=n)
+    e_plus, e_minus = params.sample(rng, d.n), params.sample(rng, d.n)
     z_out, z_in = d.out_deg + e_plus, d.in_deg + e_minus
     z_out.flags.writeable = z_in.flags.writeable = False  # fresh: kept uncopied
     return NoisyBiDegree(z_out=z_out, z_in=z_in, params=params)

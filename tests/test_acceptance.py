@@ -59,8 +59,9 @@ def test_criterion_1_oracle_recovery():
 
 def test_criterion_2_discrete_laplace_fidelity():
     start = time.perf_counter()
-    lam = math.exp(-1.0)
-    draws = dg.discrete_laplace_sample(lam, np.random.default_rng(42), size=10**6)
+    params = dg.PrivacyParams(2.0)
+    lam = params.lam
+    draws = params.sample(np.random.default_rng(42), 10**6)
 
     target_var = 2 * lam / (1 - lam) ** 2
     rel = abs(float(draws.var()) - target_var) / target_var
@@ -69,7 +70,7 @@ def test_criterion_2_discrete_laplace_fidelity():
     while draws.size * lam ** (k + 1) / (1 + lam) >= 10:
         k += 1
     xs = np.arange(-k, k + 1)
-    expected = dg.discrete_laplace_pmf(xs, lam) * draws.size
+    expected = params.pmf(xs) * draws.size
     tail = draws.size * lam ** (k + 1) / (1 + lam)
     expected = np.concatenate([[tail], expected, [tail]])
     counts = np.concatenate(

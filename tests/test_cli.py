@@ -12,7 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dpgraph import ParameterVector, PROBIT, expected_bidegree
+from dpgraph import (
+    PROBIT,
+    ParameterVector,
+    PrivacyParams,
+    degrees,
+    expected_bidegree,
+    sample_graph,
+    to_edge_list_text,
+)
 from dpgraph.cli import STATS_DUMP_HEADER, _dump_json, build_parser, main
 
 # any JSON value: scalars of every JSON type, and lists and objects of them
@@ -145,8 +153,40 @@ class TestPrivatize:
         doc = json.loads(out.read_text())
         assert set(doc) == {"n", "epsilon", "z_out", "z_in", "seed"}
         assert doc["n"] == 6 and doc["seed"] == 5
-        summary = capsys.readouterr().out
-        assert "n=6" in summary and "edges=10" in summary
+        out, err = capsys.readouterr()
+        assert "n=6" in out and "edges=10" in out
+        assert err == "dpgraph: a seeded release is only as private as its seed is secret\n"
+
+    @pytest.fixture()
+    def edges60(self, tmp_path):
+        graph = sample_graph(ParameterVector.zeros(60), PROBIT, np.random.default_rng(8))
+        path = tmp_path / "edges60.txt"
+        path.write_text(to_edge_list_text(graph))
+        return str(path), degrees(graph)
+
+    def _default_release(self, edges, out):
+        assert run_cli("privatize", edges, "--epsilon", "1", "--out", str(out)) == 0
+        return json.loads(out.read_text())
+
+    def test_default_release_is_unseeded(self, edges60, tmp_path, capsys):
+        a = self._default_release(edges60[0], tmp_path / "a.json")
+        b = self._default_release(edges60[0], tmp_path / "b.json")
+        assert set(a) == {"n", "epsilon", "z_out", "z_in"}
+        assert (a["z_out"], a["z_in"]) != (b["z_out"], b["z_in"])
+        assert capsys.readouterr().err == ""
+
+    def test_default_release_resists_seed_recompute(self, edges60, tmp_path):
+        # the attack on a seeded release: recompute the noise of every small
+        # seed from the file alone and subtract it; with 120 noisy degrees a
+        # chance match of the true ones is negligible
+        doc = self._default_release(edges60[0], tmp_path / "r.json")
+        truth = np.concatenate([edges60[1].out_deg, edges60[1].in_deg])
+        params = PrivacyParams(doc["epsilon"])
+        z = np.array(doc["z_out"] + doc["z_in"])
+        for seed in range(1001):
+            rng = np.random.default_rng(seed)
+            noise = np.concatenate([params.sample(rng, doc["n"]), params.sample(rng, doc["n"])])
+            assert not np.array_equal(z - noise, truth), seed
 
     def test_summary_counts_collapsed_edges(self, tmp_path, capsys):
         edges = tmp_path / "dup.txt"
@@ -859,6 +899,23 @@ class TestJsonWriter:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+class TestImportCost:
+    def test_import_loads_neither_scipy_stats_nor_orjson(self):
+        # every CLI call and benchmark setup pays for the package import;
+        # scipy.stats alone costs about twice the whole package
+        code = (
+            "import sys\n"
+            "import dpgraph\n"
+            "print(sorted({'scipy.stats', 'orjson'} & set(sys.modules)))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestUsage:

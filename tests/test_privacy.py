@@ -15,8 +15,6 @@ from dpgraph import (
     PrivacyParams,
     degrees,
     deviation_bound,
-    discrete_laplace_pmf,
-    discrete_laplace_sample,
     expected_bidegree,
     privatize,
     sample_graph,
@@ -24,18 +22,24 @@ from dpgraph import (
 from dpgraph.cli import _dump_json
 
 
-def gof_statistic(draws: np.ndarray, lam: float) -> tuple[float, float]:
+def eps_of(lam: float) -> float:
+    """The budget whose discrete Laplace parameter is lam."""
+    return -2.0 * math.log(lam)
+
+
+def gof_statistic(draws: np.ndarray, params: PrivacyParams) -> tuple[float, float]:
     """Chi-square GOF against the two-sided geometric pmf.
 
     Symmetric tails are pooled at the first |x| whose expected count would
     drop below 10, keeping the statistic valid in the sparse region.
     """
+    lam = params.lam
     r = draws.size
     k = 0
     while r * lam ** (k + 1) / (1 + lam) >= 10:
         k += 1
     xs = np.arange(-k, k + 1)
-    expected = discrete_laplace_pmf(xs, lam) * r
+    expected = params.pmf(xs) * r
     tail = r * lam ** (k + 1) / (1 + lam)
     expected = np.concatenate([[tail], expected, [tail]])
     counts = np.concatenate(
@@ -57,7 +61,6 @@ class TestPrivacyParams:
         assert abs(p.lam - math.exp(-eps / 2)) <= 1e-15
         assert abs(p.kappa - 4.0 / eps) <= 1e-12
         assert abs(p.kappa - 2.0 / (-math.log(p.lam))) <= 1e-12
-        assert p.sensitivity == 2
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), 1e-30])
     def test_rejects_bad_epsilon(self, eps):
@@ -67,45 +70,43 @@ class TestPrivacyParams:
 
 class TestDiscreteLaplacePmf:
     def test_mass_at_zero(self):
-        lam = math.exp(-1.0)
-        np.testing.assert_allclose(
-            discrete_laplace_pmf(0, lam), (1 - lam) / (1 + lam), rtol=1e-14
-        )
-        np.testing.assert_allclose(discrete_laplace_pmf(0, lam), 0.46211715726, atol=1e-10)
+        p = PrivacyParams(2.0)
+        lam = p.lam
+        np.testing.assert_allclose(p.pmf(0), (1 - lam) / (1 + lam), rtol=1e-14)
+        np.testing.assert_allclose(p.pmf(0), 0.46211715726, atol=1e-10)
 
     def test_sums_to_one(self):
         for lam in (0.2, 0.5, 0.9):
             xs = np.arange(-400, 401)
-            np.testing.assert_allclose(discrete_laplace_pmf(xs, lam).sum(), 1.0, atol=1e-12)
+            np.testing.assert_allclose(
+                PrivacyParams(eps_of(lam)).pmf(xs).sum(), 1.0, atol=1e-12
+            )
 
-    def test_domain(self):
-        for lam in (0.0, 1.0, -0.5):
-            with pytest.raises(DomainError):
-                discrete_laplace_pmf(0, lam)
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 5.0, 40.0])
+    def test_second_moment_is_noise_variance(self, eps):
+        # the pmf and the variance the estimator plugs in state one law
+        p = PrivacyParams(eps)
+        xs = np.arange(-3000, 3001)
+        second = math.fsum(xs.astype(float) ** 2 * p.pmf(xs))
+        assert abs(second - p.noise_variance) <= 1e-12 * max(1.0, p.noise_variance)
 
 
 class TestDiscreteLaplaceSampler:
-    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, 1.3])
-    def test_domain(self, lam):
-        with pytest.raises(DomainError):
-            discrete_laplace_sample(lam, np.random.default_rng(0))
-
-    def test_scalar_and_vector_forms(self):
-        rng = np.random.default_rng(0)
-        assert isinstance(discrete_laplace_sample(0.5, rng), int)
-        v = discrete_laplace_sample(0.5, rng, size=10)
+    def test_vector_form(self):
+        v = PrivacyParams(eps_of(0.5)).sample(np.random.default_rng(0), 10)
         assert v.shape == (10,) and v.dtype == np.int64
 
     @pytest.mark.parametrize("lam", [0.2, math.exp(-1.0), 0.8])
     def test_goodness_of_fit(self, lam):
         rng = np.random.default_rng(1234)
-        draws = discrete_laplace_sample(lam, rng, size=10**6)
-        stat, crit = gof_statistic(draws, lam)
+        params = PrivacyParams(eps_of(lam))
+        draws = params.sample(rng, 10**6)
+        stat, crit = gof_statistic(draws, params)
         assert stat < crit
 
     def test_empirical_mass_at_zero(self):
         lam = math.exp(-1.0)
-        draws = discrete_laplace_sample(lam, np.random.default_rng(1234), size=10**6)
+        draws = PrivacyParams(eps_of(lam)).sample(np.random.default_rng(1234), 10**6)
         target = (1 - lam) / (1 + lam)
         se = math.sqrt(target * (1 - target) / draws.size)
         assert abs(np.mean(draws == 0) - target) <= 4 * se
@@ -113,24 +114,24 @@ class TestDiscreteLaplaceSampler:
     def test_variance(self):
         lam = 0.5
         rng = np.random.default_rng(77)
-        draws = discrete_laplace_sample(lam, rng, size=10**6)
+        draws = PrivacyParams(eps_of(lam)).sample(rng, 10**6)
         target = 2 * lam / (1 - lam) ** 2
         assert abs(draws.var() - target) / target < 0.01
         assert abs(draws.mean()) < 3 * math.sqrt(target / 10**6)
 
     def test_symmetry(self):
-        lam = 0.6
+        p = PrivacyParams(eps_of(0.6))
         rng = np.random.default_rng(5)
-        draws = discrete_laplace_sample(lam, rng, size=500000)
+        draws = p.sample(rng, 500000)
         for k in (1, 2, 4):
             p_pos = np.mean(draws == k)
             p_neg = np.mean(draws == -k)
-            se = math.sqrt(2 * discrete_laplace_pmf(k, lam) / draws.size)
+            se = math.sqrt(2 * p.pmf(k) / draws.size)
             assert abs(p_pos - p_neg) <= 4 * se
 
     def test_tiny_lambda_concentrates_at_zero(self):
         rng = np.random.default_rng(8)
-        draws = discrete_laplace_sample(1e-6, rng, size=100000)
+        draws = PrivacyParams(eps_of(1e-6)).sample(rng, 100000)
         assert np.all(draws == 0)
 
 
@@ -212,14 +213,12 @@ class TestPrivacyRatio:
         # one edge changes one out- and one in-degree by 1 each, so the
         # released vector moves by at most 2 in L1; the per-coordinate pmf
         # ratio then telescopes to at most e^eps
-        lam = math.exp(-eps / 2)
+        p = PrivacyParams(eps)
         zs = np.arange(-30, 31)
         for d in (0, 3, 10):
             for dprime in (d - 2, d - 1, d, d + 1, d + 2):
                 shift = abs(d - dprime)
-                ratio = discrete_laplace_pmf(zs - d, lam) / discrete_laplace_pmf(
-                    zs - dprime, lam
-                )
+                ratio = p.pmf(zs - d) / p.pmf(zs - dprime)
                 assert np.all(ratio <= math.exp(eps / 2 * shift) + 1e-12)
 
 
