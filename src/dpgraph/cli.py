@@ -112,7 +112,7 @@ def _dump_json(path: str, obj: dict) -> None:
 
 
 def cmd_privatize(args) -> int:
-    params = PrivacyParams.from_epsilon(args.epsilon)  # before touching input
+    params = PrivacyParams(args.epsilon)  # before touching input
     if args.seed is not None:
         if args.seed < 0:
             raise DomainError(f"--seed must be non-negative, got {args.seed}")
@@ -152,7 +152,11 @@ def _load_degree_input(path: str) -> tuple[np.ndarray, np.ndarray, float | None]
             n = _json_n(doc["n"], path)
             z_out = _json_degrees(doc["z_out"], "z_out", path)
             z_in = _json_degrees(doc["z_in"], "z_in", path)
-        except (KeyError, OverflowError) as exc:
+        except KeyError as exc:
+            raise EdgeListParseError(
+                f"bad degrees JSON in {path}: missing key {exc.args[0]!r}"
+            ) from None
+        except OverflowError as exc:
             raise EdgeListParseError(f"bad degrees JSON in {path}: {exc}")
         if z_out.shape != (n,) or z_in.shape != (n,):
             raise EdgeListParseError(f"degree vectors in {path} do not match n={n}")
@@ -218,7 +222,7 @@ def cmd_estimate(args) -> int:
         z = NoisyBiDegree(
             z_out.astype(np.int64),
             z_in.astype(np.int64),
-            PrivacyParams.from_epsilon(epsilon),
+            PrivacyParams(epsilon),
         )
     fit = newton_solve(z, model)
     _dump_json(args.out, fit.to_json_dict())

@@ -65,18 +65,15 @@ from .privacy import NoisyBiDegree, PrivacyParams
 STAT_KINDS = ("xi", "zeta", "eta")
 
 
-def _degree_vectors(z) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Normalize degree input to (out, in) float vectors plus epsilon if any.
+def _degree_vectors(z) -> tuple[np.ndarray, np.ndarray, PrivacyParams | None]:
+    """Normalize degree input to (out, in) float vectors plus the release
+    law of a NoisyBiDegree (None for raw degrees).
 
     Accepts BiDegree, NoisyBiDegree, or a bare (out, in) pair; the bare form
     admits real-valued entries (e.g. exact expected degrees in oracle tests).
     """
     if isinstance(z, NoisyBiDegree):
-        return (
-            z.z_out.astype(float),
-            z.z_in.astype(float),
-            z.params.epsilon,
-        )
+        return z.z_out.astype(float), z.z_in.astype(float), z.params
     if isinstance(z, BiDegree):
         return z.out_deg.astype(float), z.in_deg.astype(float), None
     zout, zin = z
@@ -325,7 +322,8 @@ class _BlockFit:
 
     reason[r] is None where row r's estimate exists.  sums holds the
     plug-in sums (u_diag, u_2n_2n, v_diag, v_2n_2n) at each existing row's
-    estimate, NaN on the other rows.
+    estimate, NaN on the other rows: VarianceInputs(*sums, privacy) gives
+    the stacked variances.
     """
 
     free: np.ndarray
@@ -333,12 +331,6 @@ class _BlockFit:
     iterations: np.ndarray
     residual_norm: np.ndarray
     sums: tuple
-
-    def variance(self, privacy: PrivacyParams | None) -> "VarianceInputs":
-        """Stacked variance components from the kept sums (NaN rows where
-        no estimate exists)."""
-        n = (self.free.shape[1] + 1) // 2
-        return VarianceInputs(*self.sums, _noise_sum_variance(n, privacy))
 
 
 def _plugin_sums(pairs: _Pairs) -> tuple[np.ndarray, tuple]:
@@ -366,7 +358,7 @@ def _newton_block(
     it leaves the stacked arrays before the next operator is built.  Then
     one final operator over the converged rows' estimates gives their
     residual norms and the plug-in sums (_plugin_sums) that
-    _BlockFit.variance turns into variances.  Row r's floats do not depend
+    VarianceInputs turns into variances.  Row r's floats do not depend
     on the other rows.
     """
     R, n = zout.shape
@@ -484,12 +476,12 @@ def newton_solve(
     This is the one-row case of the stacked solver that also fits the
     simulation harness's blocks of replications.  An existing estimate
     carries its plug-in variances, equal to what variance_estimates gives
-    at it (with the noise term of a NoisyBiDegree release), taken from the
-    pair sums of the final pass at the estimate.
+    at it (with the noise term of a NoisyBiDegree release's PrivacyParams),
+    taken from the pair sums of the final pass at the estimate.
 
     Raises NumericalFailure if a residual evaluates to a non-finite value.
     """
-    zout, zin, epsilon = _degree_vectors(z)
+    zout, zin, privacy = _degree_vectors(z)
     n = zout.shape[0]
     if n < 2:
         raise DomainError("need at least 2 nodes")
@@ -499,16 +491,16 @@ def newton_solve(
     fit = _newton_block(zout[None], zin[None], model, theta.to_free())
     var = dict.fromkeys(("var_diag", "shared_var", "privacy_var"))
     if fit.reason[0] is None:
-        vi = fit.variance(z.params if isinstance(z, NoisyBiDegree) else None)
-        var = {"var_diag": vi.z_diag[0], "shared_var": float(vi.shared_var[0]),
-               "privacy_var": float(vi.privacy_var[0])}
+        vi = VarianceInputs(*(s[0] for s in fit.sums), privacy)
+        var = {"var_diag": vi.z_diag, "shared_var": float(vi.shared_var),
+               "privacy_var": float(vi.privacy_var)}
     return FitResult(
         theta=ParameterVector.from_free(fit.free[0]),
         reason=fit.reason[0],
         iterations=int(fit.iterations[0]),
         residual_norm=float(fit.residual_norm[0]),
         model=model.name,
-        epsilon=epsilon,
+        epsilon=privacy.epsilon if privacy is not None else None,
         **var,
     )
 
@@ -558,19 +550,19 @@ class VarianceInputs:
     """Plug-in variance components at the fitted parameters.
 
     u_diag holds the per-equation degree variances (row/column sums of the
-    Bernoulli variances mu(1-mu)) and s_n_sq the noise variance of the used
-    equations; stacked sums (one row per fit) give stacked components.
-    z_diag = u_diag / v_diag^2 are the leading per-coordinate variances;
-    shared_var and privacy_var are the common terms u_{2n,2n}/v_{2n,2n}^2
-    and s_n^2/v_{2n,2n}^2 added to every covariance entry (privacy_var is 0
-    when fitting raw degrees).
+    Bernoulli variances mu(1-mu)) and privacy the release law of the fitted
+    degrees (None for raw degrees); stacked sums (one row per fit) give
+    stacked components.  z_diag = u_diag / v_diag^2 are the leading
+    per-coordinate variances; shared_var and privacy_var are the common
+    terms u_{2n,2n}/v_{2n,2n}^2 and s_n^2/v_{2n,2n}^2 added to every
+    covariance entry (privacy_var is 0 when fitting raw degrees).
     """
 
     u_diag: np.ndarray
     u_2n_2n: float
     v_diag: np.ndarray
     v_2n_2n: float
-    s_n_sq: float
+    privacy: PrivacyParams | None
 
     def __post_init__(self):
         if np.any(self.v_diag <= 0.0) or np.any(self.v_2n_2n <= 0.0):
@@ -585,14 +577,16 @@ class VarianceInputs:
         return self.u_2n_2n / self.v_2n_2n**2
 
     @property
+    def s_n_sq(self) -> float:
+        """Variance of the sum of the 2n-1 noise draws in the solved
+        equations (one per u_diag entry); 0 for raw degrees."""
+        if self.privacy is None:
+            return 0.0
+        return self.u_diag.shape[-1] * self.privacy.noise_variance
+
+    @property
     def privacy_var(self) -> float:
         return self.s_n_sq / self.v_2n_2n**2
-
-
-def _noise_sum_variance(n: int, privacy: PrivacyParams | None) -> float:
-    """s_n^2: the variance of the 2n-1 noise draws that enter the solved
-    equations, each PrivacyParams.noise_variance (0 for raw degrees)."""
-    return (2 * n - 1) * privacy.noise_variance if privacy is not None else 0.0
 
 
 def variance_estimates(
@@ -604,8 +598,7 @@ def variance_estimates(
     one-row case of the final pass of newton_solve, which takes the same
     sums (_plugin_sums) at its estimate."""
     _, sums = _plugin_sums(_pairs(theta_hat.to_free()[None], model))
-    noise = _noise_sum_variance(theta_hat.n, privacy)
-    return VarianceInputs(*(s[0] for s in sums), noise)
+    return VarianceInputs(*(s[0] for s in sums), privacy)
 
 
 def _require_variance(fit: FitResult) -> np.ndarray:

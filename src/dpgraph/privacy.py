@@ -42,14 +42,12 @@ class PrivacyParams:
     epsilon: float
 
     def __post_init__(self):
+        # a release made at epsilon = 2 writes "epsilon": 2.0
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise DomainError("epsilon must be a finite positive number")
         if self.lam >= 1.0:
             raise DomainError("epsilon too small: exp(-epsilon/2) rounds to 1")
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "PrivacyParams":
-        return cls(float(epsilon))
 
     @property
     def lam(self) -> float:
@@ -124,7 +122,7 @@ def privatize(
     in-degrees are privatized even though downstream estimation drops one
     equation.
     """
-    params = PrivacyParams.from_epsilon(epsilon)
+    params = PrivacyParams(epsilon)
     e_plus, e_minus = params.sample(rng, d.n), params.sample(rng, d.n)
     z_out, z_in = d.out_deg + e_plus, d.in_deg + e_minus
     z_out.flags.writeable = z_in.flags.writeable = False  # fresh: kept uncopied

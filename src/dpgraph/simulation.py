@@ -47,6 +47,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError
 from .estimator import (
+    VarianceInputs,
     _contrast_stats,
     _is_node_index,
     _newton_block,
@@ -157,7 +158,7 @@ class ExperimentConfig:
             raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
         resolve_L(self.L_spec, self.n)
         # the noise law must exist at the resolved epsilon before any draw
-        PrivacyParams.from_epsilon(resolve_epsilon(self.eps_spec, self.n))
+        PrivacyParams(resolve_epsilon(self.eps_spec, self.n))
         get_model(self.model)
         if self.pairs is None:
             object.__setattr__(self, "pairs", default_pairs(self.n, self.stat_kinds))
@@ -224,7 +225,7 @@ def _run_block(cfg: ExperimentConfig, rep_indices: range) -> tuple:
 
     fit = _newton_block(zout, zin, model, np.zeros(2 * n - 1))
     # rows without an estimate carry NaN variances, hence NaN statistics
-    z_diag = fit.variance(PrivacyParams.from_epsilon(eps)).z_diag
+    z_diag = VarianceInputs(*fit.sums, PrivacyParams(eps)).z_diag
     free_star = theta_star.to_free()
     stats = [
         _contrast_stats(fit.free, z_diag, free_star, kind, cfg.pairs)

@@ -374,6 +374,21 @@ class TestEstimate:
         assert len(err) <= 300 + len(str(path))
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"z_out": [1, 1, 1], "z_in": [1, 1, 1]}', "missing key 'n'"),
+        ('{"n": 3, "z_in": [1, 1, 1]}', "missing key 'z_out'"),
+        ('{"n": 3, "z_out": [1, 1, 1]}', "missing key 'z_in'"),
+        ('{"n": 3, "z_out": [1, 1, 1%s], "z_in": [1, 1, 1]}' % ("0" * 400),
+         "int too large to convert to float"),
+    ], ids=["n", "z_out", "z_in", "beyond-float-range"])
+    def test_missing_key_or_huge_degree_exits_1(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "deg.json"
+        path.write_text(doc)
+        code = run_cli("estimate", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == 1
+        assert_one_line_error(capsys, f"bad degrees JSON in {path}: {message}")
+        assert not (tmp_path / "fit.json").exists()
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_nodes_exit_1(self, tmp_path, capsys, n):
         # as an edge list that defines fewer than 2 nodes does

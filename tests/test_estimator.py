@@ -323,7 +323,7 @@ class TestPcgSolve:
         fit = newton_solve(expected_bidegree(theta, PROBIT), PROBIT)
         assert fit.exists
         assert np.abs(fit.theta.to_free() - theta.to_free()).max() <= 1e-8
-        vi = variance_estimates(fit.theta, PROBIT, PrivacyParams.from_epsilon(2.0))
+        vi = variance_estimates(fit.theta, PROBIT, PrivacyParams(2.0))
         assert np.all(vi.z_diag > 0)
         res = run_experiment(ExperimentConfig(n=50, reps=1, seed=4))
         assert res.records[0].exists and np.all(np.isfinite(res.values))
@@ -978,7 +978,7 @@ class TestNewtonSolve:
         z = NoisyBiDegree(
             z_out=np.rint(eo).astype(int),
             z_in=np.rint(ei).astype(int),
-            params=PrivacyParams.from_epsilon(2.0),
+            params=PrivacyParams(2.0),
         )
         fit = newton_solve(z, PROBIT)
         assert fit.exists and fit.epsilon == 2.0
@@ -1037,7 +1037,7 @@ class TestVarianceEstimates:
     def test_aggregate_noise_variance(self):
         n = 100
         vi = variance_estimates(
-            ParameterVector.zeros(n), PROBIT, PrivacyParams.from_epsilon(2.0)
+            ParameterVector.zeros(n), PROBIT, PrivacyParams(2.0)
         )
         lam = math.exp(-1.0)
         np.testing.assert_allclose(
@@ -1061,7 +1061,7 @@ class TestVarianceEstimates:
         # the fit takes its sums from its last iterate; they must be those
         # of variance_estimates at the returned estimate, bit for bit
         z = expected_bidegree(random_theta(n, scale, n), model)
-        privacy = PrivacyParams.from_epsilon(2.0) if release else None
+        privacy = PrivacyParams(2.0) if release else None
         if release:
             z = NoisyBiDegree(np.rint(z[0]), np.rint(z[1]), privacy)
         fit = newton_solve(z, model)
@@ -1084,7 +1084,7 @@ class TestVarianceEstimates:
             z_out[0] = 0.0
         else:
             monkeypatch.setattr(estimator, "_NEWTON_MAX_ITER", 1)
-        z = NoisyBiDegree(z_out, z_in, PrivacyParams.from_epsilon(2.0))
+        z = NoisyBiDegree(z_out, z_in, PrivacyParams(2.0))
         fit = newton_solve(z, PROBIT)
         assert fit.reason == reason
         assert fit.var_diag is None and fit.shared_var is None and fit.privacy_var is None

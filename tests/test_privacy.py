@@ -57,7 +57,7 @@ def gof_statistic(draws: np.ndarray, params: PrivacyParams) -> tuple[float, floa
 class TestPrivacyParams:
     @pytest.mark.parametrize("eps", [0.1, 0.46051701859880917, 1.0, 2.0, 10.0])
     def test_derived_constants(self, eps):
-        p = PrivacyParams.from_epsilon(eps)
+        p = PrivacyParams(eps)
         assert abs(p.lam - math.exp(-eps / 2)) <= 1e-15
         assert abs(p.kappa - 4.0 / eps) <= 1e-12
         assert abs(p.kappa - 2.0 / (-math.log(p.lam))) <= 1e-12
@@ -65,7 +65,7 @@ class TestPrivacyParams:
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), 1e-30])
     def test_rejects_bad_epsilon(self, eps):
         with pytest.raises(DomainError):
-            PrivacyParams.from_epsilon(eps)
+            PrivacyParams(eps)
 
 
 class TestDiscreteLaplacePmf:
@@ -141,9 +141,9 @@ class TestNoisyBiDegree:
     )
     def test_rejects_non_integer_entries(self, z_out):
         with pytest.raises(DomainError):
-            NoisyBiDegree(z_out, [1, -1, 0], PrivacyParams.from_epsilon(1.0))
+            NoisyBiDegree(z_out, [1, -1, 0], PrivacyParams(1.0))
         with pytest.raises(DomainError, match="must be 1-D and equal length"):
-            NoisyBiDegree([1, 2], [1, -1, 0], PrivacyParams.from_epsilon(1.0))
+            NoisyBiDegree([1, 2], [1, -1, 0], PrivacyParams(1.0))
 
 
 class TestPrivatize:
@@ -205,6 +205,18 @@ class TestPrivatize:
         written = json.loads(path.read_text())
         assert all(type(v) is int for v in written["z_out"] + written["z_in"])
         assert written["z_out"] == doc["z_out"].tolist()
+
+    def test_integer_epsilon_is_stored_as_float(self, tmp_path):
+        # the release JSON writes "epsilon": 2.0 whether epsilon came as 2 or 2.0
+        assert type(PrivacyParams(2).epsilon) is float
+        d = self._degrees(n=5, seed=3)
+        written = []
+        for eps in (2, 2.0):
+            path = tmp_path / f"release-{eps!r}.json"
+            _dump_json(str(path), privatize(d, eps, np.random.default_rng(1)).to_json_dict())
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert b'"epsilon": 2.0,' in written[0]
 
 
 class TestPrivacyRatio:

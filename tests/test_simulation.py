@@ -15,6 +15,7 @@ from dpgraph import (
     ExperimentResult,
     ParameterVector,
     RepRecord,
+    VarianceInputs,
     build_s_approx,
     confidence_interval,
     default_pairs,
@@ -286,6 +287,25 @@ class TestRunExperiment:
         assert len_large < len_small
 
 
+@pytest.mark.parametrize("eps_spec", ["fixed:2", "logn_n14", "logn_n12"])
+@pytest.mark.parametrize("L_spec", ["loglogn", "sqrtlogn"])
+@pytest.mark.parametrize("model", ["probit", "logit"])
+def test_ramp_grid_nonexistence_is_range(model, L_spec, eps_spec):
+    # Across the ramp grid at n = 100 every replication without an estimate
+    # must be a "range" one: another reason would mean Newton gave up on
+    # data that may admit a solution.  Under probit the ramps push the top
+    # degrees to n - 1, so every replication is "range" before any fit;
+    # under logit at eps = 2 some replications fit (93 and 32 of 100 at
+    # loglogn and sqrtlogn), so Newton does run.  One seed (3), chosen
+    # once for the whole grid.
+    cfg = ExperimentConfig(n=100, L_spec=L_spec, eps_spec=eps_spec, reps=100,
+                           seed=3, model=model)
+    reasons = [rec.reason for rec in run_experiment(cfg).records]
+    assert set(reasons) <= {None, "range"}
+    if model == "logit" and eps_spec == "fixed:2":
+        assert reasons.count(None) > 0
+
+
 def test_nonexist_freq_is_correctly_rounded():
     # 1.0 - 4 / 5 would read 0.19999999999999996
     cfg = ExperimentConfig(n=10, reps=5, pairs=((1, 2),))
@@ -309,7 +329,7 @@ def test_array_holding_types_compare_by_identity():
     cfg = ExperimentConfig(n=10, reps=2, seed=1, pairs=((1, 2),))
     values = (
         graph, degrees(graph), theta, release, v, build_s_approx(v), fit, block,
-        block.variance(None), run_experiment(cfg),
+        VarianceInputs(*block.sums, None), run_experiment(cfg),
     )
     for value in values:
         twin = copy.copy(value)
