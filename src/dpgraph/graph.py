@@ -189,8 +189,10 @@ def parse_edge_list(text: str) -> DirectedGraph:
     The leading blank, '#' and header lines are read line by line.  A
     body in the plain form -- only ASCII digits, spaces, tabs and LF or
     CRLF line ends, with two ids of at most 18 digits on each non-blank
-    line -- is then parsed in one vectorized pass; any other text is
-    parsed line by line as a whole.  Both paths accept the same format
+    line -- is then parsed vectorized, piece by piece: a piece of
+    "<id><SP|TAB><id>\n" lines alone in one check of its separators, any
+    other plain piece with its blank runs collapsed first.  Any other text
+    is parsed line by line as a whole.  All paths accept the same format
     and raise the same errors with the same line numbers.
     """
     edges = _parse_plain(text)
@@ -208,7 +210,9 @@ _PLAIN_DIGITS = 18
 # privatize call read 37.8-43.9 ms with 256 KiB pieces and 44.3-54.3 ms
 # with 64 KiB (medians of 25 calls in each of 4 processes a side); 2 of
 # the 256 KiB processes took 5 minor page faults a call, the others and
-# every 64 KiB one 400 to 2,000
+# every 64 KiB one 400 to 2,000.  Those figures predate the one-separator
+# check, which took `_parse_plain` on that list from 30 to 22 ms (min of
+# 40 calls on a 2-vCPU VM); the size was not tuned again since
 _PLAIN_CHUNK = 1 << 18
 # the leading lines that are blank or start with '#' or 'n', each ended by
 # LF or the end of the text: a loose scan, and `_parse_lines` decides what
@@ -218,8 +222,8 @@ _PREAMBLE = re.compile(r"(?:[ \t\r]*(?:[#n][^\n]*)?(?:\n|\Z))*")
 
 def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray, int | None] | None:
     """(srcs, dsts, declared n) of an edge list whose body is in the plain
-    form, read in one vectorized pass over its bytes (in pieces of about
-    256 KiB); None for any other text, which `_parse_lines` then reads whole.
+    form, read vectorized from its bytes in pieces of about 256 KiB;
+    None for any other text, which `_parse_lines` then reads whole.
 
     The leading blank, '#' and header lines go to `_parse_lines`, which
     raises on a malformed header as it would on the whole text.  The plain
@@ -247,50 +251,70 @@ def _parse_plain(text: str) -> tuple[np.ndarray, np.ndarray, int | None] | None:
 
 def _plain_ids(lines: str) -> np.ndarray | None:
     """The ids of whole plain-form body lines, in order, or None if the
-    lines are not in the plain form or hold an id < 1 or a self-loop."""
+    lines are not in the plain form or hold an id < 1 or a self-loop.
+
+    Lines that pass `_one_separator` take their ids straight from the
+    separator positions; any other piece has its runs of blanks collapsed
+    and its line ends checked first."""
     if not lines.isascii():
         return None
     b = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
     if b.max() > 0x39:
         return None
     # every other plain byte lies below "0": the separators, at sep; the
-    # checks below read only them (s) and the digits are the bytes between
+    # checks below read only them (s) and the digits are the bytes between:
+    # gaps[j] digits before separator j, and gaps[-1] after the last one
     sep = np.flatnonzero(b < 0x30)
     s = b[sep]
-    if sum(np.count_nonzero(s == c) for c in b" \t\n\r") != s.size:
-        return None
-    after_cr = sep[s == 0x0D] + 1
-    if after_cr.size and (after_cr[-1] == b.size or (b[after_cr] != 0x0A).any()):
-        return None
-
-    # ids are the maximal runs of digits: id j fills the gap at[j] between
-    # separators, ends at byte last[j] and has lfs[at[j]] LFs before it
     bounds = np.concatenate(([-1], sep, [b.size]))
     gaps = np.diff(bounds) - 1
-    at = np.flatnonzero(gaps > 0)
-    lengths = gaps[at]
+    if _one_separator(s, gaps):
+        # each separator ends the id before it
+        last, lengths = sep - 1, gaps[:-1]
+    else:
+        if sum(np.count_nonzero(s == c) for c in b" \t\n\r") != s.size:
+            return None
+        after_cr = sep[s == 0x0D] + 1
+        if after_cr.size and (after_cr[-1] == b.size or (b[after_cr] != 0x0A).any()):
+            return None
+        # ids are the maximal runs of digits: id j fills the gap at[j]
+        # between separators and has lfs[at[j]] LFs before it
+        at = np.flatnonzero(gaps > 0)
+        if at.size % 2:
+            return None
+        lfs = np.zeros(s.size + 1, dtype=np.intp)
+        np.cumsum(s == 0x0A, out=lfs[1:])
+        # each line holds two ids when ids alternate in-line and across lines
+        steps = np.diff(lfs[at])
+        if steps[0::2].any() or not steps[1::2].all():
+            return None
+        last, lengths = bounds[1:][at] - 1, gaps[at]
     longest = int(lengths.max(initial=0))
-    if longest > _PLAIN_DIGITS or at.size % 2:
-        return None
-    lfs = np.zeros(s.size + 1, dtype=np.intp)
-    np.cumsum(s == 0x0A, out=lfs[1:])
-    # each line holds two ids when ids alternate in-line and across lines
-    steps = np.diff(lfs[at])
-    if steps[0::2].any() or not steps[1::2].all():
+    if longest > _PLAIN_DIGITS:
         return None
 
-    # an id is the sum of digits[last - k] * 10^k over k below its length;
-    # bytes before it (a separator, or wrapped round a piece's start) are
-    # scaled by 0, and each term is widened to int64 before it is scaled,
-    # as numpy 1's value-based casting would keep uint8 * 10^k narrow
+    # id j ends at byte last[j] and is the sum of digits[last - k] * 10^k
+    # over k below its length lengths[j]; bytes before it (a separator, or
+    # wrapped round a piece's start) are scaled by 0, and each term is
+    # widened to int64 before it is scaled, as numpy 1's value-based
+    # casting would keep uint8 * 10^k narrow
     digits = b - 0x30
-    last = bounds[1:][at] - 1
     ids = digits[last].astype(np.int64)
     for k in range(1, longest):
         ids += digits[last - k].astype(np.int64) * (lengths > k) * 10**k
     if ids.size and (ids.min() < 1 or (ids[0::2] == ids[1::2]).any()):
         return None
     return ids
+
+
+def _one_separator(s: np.ndarray, gaps: np.ndarray) -> bool:
+    """Whether a piece with separators s and gaps (as in `_plain_ids`) is
+    "<id><SP|TAB><id>\n" lines alone: every separator directly follows a
+    digit, space or tab and LF alternate from the first, and the piece ends
+    at its last LF.  Such a piece needs no run collapsing or line check."""
+    inline = s[0::2]
+    return bool(gaps[-1] == 0 and s.size % 2 == 0 and gaps[:-1].all()
+                and (s[1::2] == 0x0A).all() and ((inline == 0x20) | (inline == 0x09)).all())
 
 
 def _parse_lines(text: str) -> tuple[list[int], list[int], int | None]:

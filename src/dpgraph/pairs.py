@@ -147,8 +147,9 @@ def _barycentric(x: np.ndarray, nodes: np.ndarray, flat: np.ndarray) -> np.ndarr
             lt[(*batch, slice(None), point)] = 0.0
             near = np.abs(x[(*batch, point)][:, None] - nodes[tuple(batch)]).argmin(axis=-1)
             lt[(*batch, near, point)] = 1.0
-    lt[flat] = 0.0
-    lt[flat, 0] = 1.0
+    if flat.any():
+        lt[flat] = 0.0
+        lt[flat, 0] = 1.0
     return lt
 
 
@@ -366,17 +367,18 @@ def _pairs(free: np.ndarray, model: EdgeMeanModel) -> _Pairs:
     ab = np.zeros((R, 2, n))
     ab[:, 0] = free[:, :n]
     ab[:, 1, : n - 1] = free[:, n:]
-    stacks, rows, left = [], [], np.arange(R)
+    stacks, rows, left = [], [], np.ones(R, dtype=bool)
     # the half-width of each row's box, beta_n = 0 included
     half = 0.5 * (ab.max(axis=-1) - ab.min(axis=-1)).max(axis=-1)
     for p in _CHEB_LADDER:
-        tries = np.flatnonzero(half <= _NARROW_HALF_WIDTH) if p == _CHEB_LADDER[0] else left
+        tries = np.flatnonzero(half <= _NARROW_HALF_WIDTH if p == _CHEB_LADDER[0] else left)
         if tries.size:
             resolved, cheb = _cheb_iterate(ab[tries], fns, p)
             if resolved.any():
                 stacks.append(cheb)
                 rows.append(tries[resolved])
-                left = np.setdiff1d(left, rows[-1], assume_unique=True)
+                left[rows[-1]] = False
+    left = np.flatnonzero(left)
     size = _dense_rows(n)
     for k in range(0, left.size, size):
         stacks.append(_DenseIterate(free[left[k : k + size]], fns))

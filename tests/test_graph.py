@@ -69,6 +69,31 @@ def _edge_list_texts(draw, near_miss: bool) -> str:
     return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
+# Bodies of "<id><SP|TAB><id>\n" lines alone, the form the one-separator
+# check reads (ids zero-padded as above), after an optional header.  A
+# near miss inserts one fragment at a line boundary; a fragment without a
+# final LF joins the next line, or ends the text without one.
+_ONE_SEPARATOR_LINES = st.builds(
+    lambda ids, widths, sep: f"{str(ids[0]).zfill(widths[0])}{sep}{str(ids[1]).zfill(widths[1])}\n",
+    st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True),
+    st.tuples(_WIDTHS, _WIDTHS),
+    st.sampled_from([" ", "\t"]),
+)
+_ONE_SEPARATOR_MISSES = st.sampled_from([
+    "5", "56", "1 2", "12 3", "\n", " 1 2\n", "1  2\n", "1 2 \n", "1 \t2\n", "1 2\r\n",
+    "1\r2\n", "# c\n", "5\n", "1 2 3\n", "4 4\n", "0 3\n", "0000000000000000003 2\n",
+])
+
+
+@st.composite
+def _one_separator_texts(draw) -> str:
+    lines = draw(st.lists(_ONE_SEPARATOR_LINES, max_size=8))
+    miss = draw(st.none() | _ONE_SEPARATOR_MISSES)
+    if miss is not None:
+        lines.insert(draw(st.integers(0, len(lines))), miss)
+    return draw(st.sampled_from(["", "n=14\n"])) + "".join(lines)
+
+
 def _reference_parse(text: str) -> DirectedGraph:
     """parse_edge_list through the line-by-line reader alone."""
     return graph._edge_graph(*graph._parse_lines(text))
@@ -497,6 +522,37 @@ class TestEdgeListParsing:
         assert graph._plain_ids(text) is None
         assert _parse_outcome(parse_edge_list, text) == _parse_outcome(_reference_parse, text)
 
+    @pytest.mark.parametrize("text, one_separator, falls_back", [
+        ("1 2\n3\t4\n", True, False),
+        # digits after the last LF fail the check, and the general path
+        # finds an odd id count; a CR between ids or a '#' (a byte below
+        # "0", unlike the letters of "# c") fails its separator checks
+        ("1 2\n3 4\n5", False, True),
+        ("1 2\n3 4\n56", False, True),
+        ("12", False, True),
+        ("1\r2\n", False, True),
+        ("1 2\n#\n3 4\n", False, True),
+        # runs and line ends the general path collapses
+        (" 1 2\n", False, False),
+        ("1  2\n", False, False),
+        ("1 2\n\n3 4\n", False, False),
+        ("1 2\r\n3 4\r\n", False, False),
+        ("1 2\n3 4", False, False),
+    ], ids=["one-separator", "digit-after-last-lf", "digits-after-last-lf", "digits-only",
+            "cr-between-ids", "mid-body-comment", "leading-space", "double-space",
+            "blank-line", "crlf", "no-final-lf"])
+    def test_one_separator_check(self, text, one_separator, falls_back, monkeypatch):
+        # what the check answered on the one piece, and whether the whole
+        # text then went to the line reader
+        check, answers = graph._one_separator, []
+        monkeypatch.setattr(graph, "_one_separator",
+                            lambda s, gaps: answers.append(check(s, gaps)) or answers[-1])
+        expected = _parse_outcome(_reference_parse, text)
+        outcome, calls = _spied_parse(text, monkeypatch)
+        assert outcome == expected
+        assert answers == [one_separator]
+        assert calls == (["", text] if falls_back else [""])
+
     def test_long_and_short_ids_in_one_piece(self):
         # from the third digit on, a digit times 10^k outgrows the byte it
         # is read from (345, 999): each term of the sum is taken in int64
@@ -526,6 +582,20 @@ def test_matches_reference_across_piece_boundaries(chunk, text):
     # pieces of one or a few lines: a piece boundary falls inside every text
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_PLAIN_CHUNK", chunk)
+        got = _parse_outcome(parse_edge_list, text)
+    assert got == _parse_outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 8, None])
+@given(text=_one_separator_texts())
+@example(text="1 2\n3 4\n5")
+@example(text="1 2\n3 4\n56")
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+def test_one_separator_bodies_match_reference(chunk, text):
+    # pieces of one or a few lines, and of the default size
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(graph, "_PLAIN_CHUNK", chunk)
         got = _parse_outcome(parse_edge_list, text)
     assert got == _parse_outcome(_reference_parse, text)
 
