@@ -17,10 +17,11 @@ off-diagonal block holds the pairwise derivative weights
 w[i, j] = mu'(alpha_i + beta_j).  That structure admits a closed-form
 approximate inverse S built from the diagonal reciprocals 1/v_kk and one
 shared boundary scalar 1/v_{2n,2n}, with ||V^{-1} - S|| = O(n^{-2}).
-Each Newton step solves its (2n-1)-dimensional system by conjugate
-gradients preconditioned with S, using matrix-free products with V (a
-handful of products per step); dense V is only assembled by the
-diagnostics s_approx_error and convergence_diagnostics.
+Each Newton step eliminates the out-block, whose diagonal block is
+diagonal, and solves the (n-1)-dimensional Schur complement by conjugate
+gradients preconditioned with S's in-block part, using matrix-free
+products with the cross block (a handful per step); dense V is only
+assembled by the diagnostics s_approx_error and convergence_diagnostics.
 
 Every O(n^2) quantity of a fit (the residual, the diagonal of V, the
 products with its cross block, the variance sums) is a row sum, column
@@ -46,7 +47,6 @@ or when the linear solve goes singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -152,8 +152,8 @@ class SApprox:
 
     s_ij = delta_ij / v_ii + sigma_ij / v_{2n,2n}, where sigma is +1 when
     i and j fall in the same equation block and -1 across blocks.  diag
-    (..., 2n-1) holds the 1/v_ii and shared (...) the 1/v_{2n,2n}, stacked
-    one S per row; every Newton step applies it as its CG preconditioner.
+    (2n-1) holds the 1/v_ii and shared the 1/v_{2n,2n}; each Newton step's
+    CG (_pcg_block) is preconditioned with its in-block part.
     """
 
     diag: np.ndarray
@@ -163,20 +163,10 @@ class SApprox:
     def n(self) -> int:
         return (self.diag.shape[-1] + 1) // 2
 
-    @cached_property
-    def _sign(self) -> np.ndarray:
-        """+1 on out-equations, -1 on in-equations."""
-        sign = np.ones(2 * self.n - 1)
-        sign[self.n :] = -1.0
-        return sign
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """S r for every row of r (..., 2n-1)."""
-        shared = self.shared[..., None] * _rowdot(r, self._sign)[..., None]
-        return self.diag * r + shared * self._sign
-
     def materialize(self) -> np.ndarray:
-        s = np.outer(self._sign, self._sign) * self.shared
+        # +1 on out-equations, -1 on in-equations
+        sign = np.where(np.arange(self.diag.size) < self.n, 1.0, -1.0)
+        s = np.outer(sign, sign) * self.shared
         s[np.diag_indices_from(s)] += self.diag
         return s
 
@@ -196,10 +186,11 @@ def s_approx_error(v: JacobianMatrix) -> float:
     return float(np.abs(exact - build_s_approx(v).materialize()).max())
 
 
-# Each Newton step's linear solve stops once max|V x - b| <= _CG_RTOL *
-# max|b| (recursive residual).  S is within O(n^{-2}) of V^{-1}, so a few
-# iterations suffice at every n; a solve still unconverged after
-# _CG_MAX_ITER means V is numerically singular.
+# Each Newton step's linear solve stops once the Schur system's recursive
+# residual max|c - T x_b| falls to _CG_RTOL * max|b|: the full residual
+# max|V x - b|, as its out-block is zero by construction.  S is within
+# O(n^{-2}) of V^{-1}, so a few iterations suffice at every n; a solve still
+# unconverged after _CG_MAX_ITER means V is numerically singular.
 _CG_RTOL = 1e-12
 _CG_MAX_ITER = 200
 
@@ -217,46 +208,53 @@ _DIVERGENCE_GUARD = 50.0
 def _pcg_block(
     v_diag: np.ndarray, v_2n_2n: np.ndarray, w: _Pairs, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve V_r x_r = b_r for every row r of b by CG preconditioned with S_r.
+    """Solve V_r x_r = b_r for every row r of b by CG on the in-block Schur
+    complement, preconditioned with S_r restricted to the in-block.
 
-    Row r's system has diagonal v_diag[r], boundary scalar v_2n_2n[r] and
-    cross block w_r[:, :n-1], with w the mu' pair operator; a leading axis
-    of length 1 (one operator stack with one row) shares one system among
-    all rows.  Products with V use the diagonal and the cross block only.
-    Returns (x, ok): ok[r] is False when S_r does not exist, an iterate
-    turned non-finite, or the cap was reached, and x[r] is then 0.  A row
-    that converges or breaks is frozen: its x and r take no more updates.
-    Its p and q may turn non-finite, but each product is one BLAS call per
-    row, so every row's arithmetic is that of a lone solve.
+    Row r's system has diagonal v_diag[r] = (D_a, D_b), boundary scalar
+    v_2n_2n[r] and cross block W' = w_r[:, :n-1], with w the mu' pair
+    operator; a leading axis of length 1 (one operator stack with one row)
+    shares one system among all rows.  Both diagonal blocks of V are
+    diagonal, so eliminating x_a leaves T x_b = c with T = D_b - W'^T
+    D_a^{-1} W' and c = b_b - W'^T (b_a / D_a) (Reid 1972; Hageman and
+    Young 1981, ch. 9): CG runs on the n-1 in-block entries, with the
+    preconditioner S_bb = diag(1/D_b) + (1/v_2n_2n) 11^T, and x_a = (b_a -
+    W' x_b) / D_a follows, so the full residual's out-block is zero up to
+    rounding.  Returns (x, ok): ok[r] is False when S_r does not exist, an
+    iterate turned non-finite, or the cap was reached, and x[r] is then 0.
+    A row that converges or breaks is frozen: its x_b and r take no more
+    updates.  Its p and q may turn non-finite, but each half-product is one
+    BLAS call per row, so every row's arithmetic is that of a lone solve.
     """
+    n = (b.shape[1] + 1) // 2
     ok = np.all(v_diag > 0.0, axis=-1) & (v_2n_2n > 0.0) & np.ones(len(b), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = SApprox(1.0 / v_diag, 1.0 / v_2n_2n)
+        inv = 1.0 / v_diag
+        inv_a, inv_b, shared = inv[:, :n], inv[:, n:], (1.0 / v_2n_2n)[:, None]
         tol = _CG_RTOL * np.abs(b).max(axis=1)
         x = np.zeros_like(b)
-        r = b.copy()
-        q = np.empty_like(b)
-        z = s.apply(r)
+        x_b = x[:, n:]
+        r = b[:, n:] - w.cross_t(b[:, :n] * inv_a)
+        z = inv_b * r + shared * r.sum(axis=1, keepdims=True)
         p, rz = z, _rowdot(r, z)
         done = ~ok | (np.abs(r).max(axis=1) <= tol)
         for _ in range(_CG_MAX_ITER):
             if done.all():
                 break
             live = ~done[:, None]
-            # q = V p: the cross-block products, plus the diagonal part
-            w.products(p, q)
-            q += v_diag * p
+            q = v_diag[:, n:] * p - w.cross_t(w.cross(p) * inv_a)
             step = (rz / _rowdot(p, q))[:, None]
-            np.add(x, step * p, out=x, where=live)
+            np.add(x_b, step * p, out=x_b, where=live)
             np.subtract(r, step * q, out=r, where=live)
-            z = s.apply(r)
+            z = inv_b * r + shared * r.sum(axis=1, keepdims=True)
             rz, rz_old = _rowdot(r, z), rz
             broke = ~done & ~np.isfinite(rz)
             ok &= ~broke
             p = z + (rz / rz_old)[:, None] * p
             done |= broke | (np.abs(r).max(axis=1) <= tol)
-    # a row not done reached the cap
-    ok &= np.abs(r).max(axis=1) <= tol
+        # a row not done reached the cap
+        ok &= np.abs(r).max(axis=1) <= tol
+        x[:, :n] = (b[:, :n] - w.cross(x_b)) * inv_a
     x[~ok] = 0.0
     return x, ok
 
@@ -458,8 +456,9 @@ def newton_solve(
 ) -> FitResult:
     """Solve the moment equations by full Newton steps.
 
-    Each step solves V step = F(theta) by S-preconditioned conjugate
-    gradients to a relative residual of _CG_RTOL; a solve that fails to
+    Each step solves V step = F(theta) by conjugate gradients on the
+    in-block Schur complement, preconditioned with S's in-block part, to a
+    relative residual of _CG_RTOL; a solve that fails to
     converge within _CG_MAX_ITER iterations, or turns non-finite, means V
     is numerically singular and ends the fit with reason "singular".
 

@@ -2,9 +2,9 @@
 
 Each such quantity is a row sum, column sum or cross-block product of a
 pair matrix f(alpha_i + beta_j) with zero diagonal: f = mu for the
-residual, mu' for the CG products and the diagonal of V, mu(1-mu) and mu'
-for the variance sums.  _Pairs serves them for stacked rows from stacks of
-two backends:
+residual, mu' for the CG half-products and the diagonal of V, mu(1-mu)
+and mu' for the variance sums.  _Pairs serves them for stacked rows from
+stacks of two backends:
 
 - dense: the n x n matrices themselves;
 - compressed: tensor Chebyshev interpolation over each row's box
@@ -206,11 +206,11 @@ class _DensePairs:
     def bernoulli(self) -> "_DensePairs":
         return _DensePairs(self.m * (1.0 - self.m))
 
-    def products(self, p: np.ndarray, out: np.ndarray) -> None:
-        n = self.m.shape[-1]
-        cross = self.m[..., : n - 1]
-        np.matmul(cross, p[:, n:, None], out=out[:, :n, None])
-        np.matmul(p[:, None, :n], cross, out=out[:, None, n:])
+    def cross(self, x: np.ndarray) -> np.ndarray:
+        return np.matmul(self.m[..., :-1], x[:, :, None])[..., 0]
+
+    def cross_t(self, y: np.ndarray) -> np.ndarray:
+        return _vecmat(y, self.m[..., :-1])
 
 
 class _DenseIterate:
@@ -246,14 +246,15 @@ class _ChebPairs:
         c, d = self.c, self.d
         return _ChebPairs(self.lt, self.ones, c * (1.0 - c), d * (1.0 - d))
 
-    def products(self, p: np.ndarray, out: np.ndarray) -> None:
-        n = self.d.shape[-1]
-        lta, ltb = self.lt[:, 0], self.lt[:, 1, :, : n - 1]
-        c, d = self.c, self.d[:, : n - 1]
-        np.matmul(p[:, None, n:] @ _t(ltb) @ _t(c), lta, out=out[:, None, :n])
-        np.matmul(p[:, None, :n] @ _t(lta) @ c, ltb, out=out[:, None, n:])
-        out[:, : n - 1] -= d * p[:, n:]
-        out[:, n:] -= d * p[:, : n - 1]
+    def cross(self, x: np.ndarray) -> np.ndarray:
+        out = (x[:, None] @ _t(self.lt[:, 1, :, :-1]) @ _t(self.c) @ self.lt[:, 0])[:, 0]
+        out[:, :-1] -= self.d[:, :-1] * x
+        return out
+
+    def cross_t(self, y: np.ndarray) -> np.ndarray:
+        out = (y[:, None] @ _t(self.lt[:, 0]) @ self.c @ self.lt[:, 1, :, :-1])[:, 0]
+        out -= self.d[:, :-1] * y[:, :-1]
+        return out
 
 
 def _dense_rows(n: int) -> int:
@@ -319,9 +320,10 @@ class _Pairs:
 
     At an iterate, mu() and mu_prime() give the pair matrices of mu and mu';
     those give sums() (equation sums and boundary sum), bernoulli() (the
-    pair matrices of mu(1-mu), from those of mu) and products(p, out) (the
-    two cross-block products W[:, :n-1] p_b and p_a W[:, :n-1] per row),
-    always over all the rows the operator was built for.
+    pair matrices of mu(1-mu), from those of mu), and cross(x) and
+    cross_t(y) (the cross-block half-products W[:, :n-1] x and
+    W[:, :n-1]^T y per row), always over all the rows the operator was
+    built for.
     """
 
     def __init__(self, stacks: list, rows: list | None = None):
@@ -344,14 +346,18 @@ class _Pairs:
         order = np.argsort(np.concatenate(self.rows))
         return tuple(np.concatenate(arrays)[order] for arrays in zip(*results))
 
-    def products(self, p: np.ndarray, out: np.ndarray) -> None:
+    def cross(self, x: np.ndarray) -> np.ndarray:
+        return self._by_row("cross", x)
+
+    def cross_t(self, y: np.ndarray) -> np.ndarray:
+        return self._by_row("cross_t", y)
+
+    def _by_row(self, name: str, v: np.ndarray) -> np.ndarray:
+        """Each stack's half-product of its rows of v, placed at its rows."""
         if self.rows is None:
-            self.stacks[0].products(p, out)
-            return
-        for stack, r in zip(self.stacks, self.rows):
-            q = np.empty((r.size, p.shape[1]))
-            stack.products(p[r], q)
-            out[r] = q
+            return getattr(self.stacks[0], name)(v)
+        parts = [getattr(stack, name)(v[r]) for stack, r in zip(self.stacks, self.rows)]
+        return np.concatenate(parts)[np.argsort(np.concatenate(self.rows))]
 
 
 def _pairs(free: np.ndarray, model: EdgeMeanModel) -> _Pairs:

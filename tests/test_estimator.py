@@ -257,20 +257,21 @@ class TestPcgSolve:
         assert np.abs(step - dense).max() <= v_inv_norm * tol + 1e-14 * np.abs(dense).max()
 
     def test_finished_rows_are_frozen(self, monkeypatch):
-        # row 0 converges before the first product (b = 0) and row 1 later:
-        # row 0 stays frozen at 0, and row 1 solves as it would alone, in as
-        # many products
+        # row 0 converges before the first CG iteration (b = 0) and row 1
+        # later: row 0 stays frozen at 0, and row 1 solves as it would alone,
+        # in as many half-products
         n = 60
         theta = random_theta(n, 1.0, 360)
         b = moment_residual(theta, expected_bidegree(random_theta(n, 1.0, 3), PROBIT),
                             PROBIT)
         jac = jacobian(theta, PROBIT)
-        products = pairs._Pairs.products
+        halves = {name: getattr(pairs._Pairs, name) for name in ("cross", "cross_t")}
 
         def solve(rhs):
             rows, seen = len(rhs), []
-            monkeypatch.setattr(pairs._Pairs, "products", lambda self, p, out: (
-                seen.append(len(p)), products(self, p, out)))
+            for name, half in halves.items():
+                monkeypatch.setattr(pairs._Pairs, name, lambda self, v, half=half, name=name: (
+                    seen.append(name), half(self, v))[1])
             op = pairs._Pairs([pairs._DensePairs(np.repeat(jac.w[None], rows, axis=0))])
             x, ok = estimator._pcg_block(np.repeat(jac.v_diag[None], rows, axis=0),
                                          np.full(rows, jac.v_2n_2n), op, rhs)
@@ -280,7 +281,8 @@ class TestPcgSolve:
         assert ok.all() and seen
         assert np.array_equal(x[0], np.zeros_like(b))
         x_alone, _, seen_alone = solve(b[None])
-        assert np.array_equal(x[1], x_alone[0]) and len(seen) == len(seen_alone)
+        assert np.array_equal(x[1], x_alone[0])
+        assert seen == seen_alone
 
     def test_row_without_s_is_frozen_beside_a_normal_row(self):
         # row 0's diagonal holds a 0, so S_0 does not exist and its p is
@@ -303,11 +305,40 @@ class TestPcgSolve:
         assert ok[1] and ok_alone[0] and np.array_equal(x[1], x_alone[0])
 
     def test_iteration_cap_reports_singular(self, monkeypatch):
+        # one CG iteration solves the first step, from the flat start
+        # (test_flat_start_solves_in_two_iterations); the second step needs
+        # four, so the cap bites there
         monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
         theta = random_theta(30, 0.75, 7)
         fit = newton_solve(expected_bidegree(theta, PROBIT), PROBIT)
         assert not fit.exists and fit.reason == "singular"
-        assert fit.iterations == 1
+        assert fit.iterations == 2
+
+    @pytest.mark.parametrize("n", [10, 60, 100, 2000])
+    @pytest.mark.parametrize("model_name", ["probit", "logit"])
+    def test_flat_start_solves_in_two_iterations(self, monkeypatch, model_name, n):
+        # at theta = 0 every pair weight is mu'(0), so S_bb T = a I + g 11^T
+        # has at most two eigenvalues and CG on T ends within two
+        # iterations in exact arithmetic (here g = 0, and one suffices);
+        # each Newton fit starts there
+        from dpgraph import get_model
+
+        model = get_model(model_name)
+        monkeypatch.setattr(estimator, "_CG_MAX_ITER", 2)
+        w = pairs._pairs(np.zeros((1, 2 * n - 1)), model).mu_prime()
+        v_diag, v_2n_2n = w.sums()
+        b = np.random.default_rng(n).standard_normal((3, 2 * n - 1))
+        x, ok = estimator._pcg_block(v_diag, v_2n_2n, w, b)
+        assert ok.all()
+        # V x - b without V: every weight of the cross block is mu'(0), so
+        # (W' x_b)_i and (W'^T x_a)_j are mu'(0) times a sum that leaves out
+        # x_b[i] and x_a[j]
+        mu0 = float(model.mu_prime(np.zeros(1))[0])
+        x_a, x_b = x[:, :n], x[:, n:]
+        cross = mu0 * (x_b.sum(axis=1, keepdims=True) - np.pad(x_b, ((0, 0), (0, 1))))
+        cross_t = mu0 * (x_a.sum(axis=1, keepdims=True) - x_a[:, : n - 1])
+        vx = v_diag * x + np.concatenate([cross, cross_t], axis=1)
+        assert np.abs(vx - b).max() <= 2e-12 * np.abs(b).max()
 
     def test_fit_path_never_builds_dense_v(self, monkeypatch):
         from dpgraph import ExperimentConfig, JacobianMatrix, run_experiment
@@ -387,8 +418,15 @@ def rung(op):
             for s in op.stacks]
 
 
+def half_products(op, p):
+    """The half-products of an operator at stacked p (R, 2n-1), side by
+    side: cross(p_b) = W[:, :n-1] p_b, then cross_t(p_a) = W[:, :n-1]^T p_a."""
+    n = (p.shape[1] + 1) // 2
+    return np.concatenate([op.cross(p[:, n:]), op.cross_t(p[:, :n])], axis=1)
+
+
 def assert_backends_agree(got, want, n, rng):
-    """Sums, Bernoulli sums and cross products of two backends at one row;
+    """Sums, Bernoulli sums and half-products of two backends at one row;
     the bound is a few times the compressed path's rounding floor, which
     is about 4e-15 n at n = 2000."""
     tol = 1e-14 * n
@@ -400,10 +438,8 @@ def assert_backends_agree(got, want, n, rng):
             np.testing.assert_allclose(a, b, rtol=0, atol=tol)
         # three right-hand sides share the one-row operator
         p = rng.standard_normal((3, 2 * n - 1))
-        qa, qb = np.empty_like(p), np.empty_like(p)
-        g.products(p, qa)
-        w.products(p, qb)
-        np.testing.assert_allclose(qa, qb, rtol=0, atol=tol)
+        np.testing.assert_allclose(half_products(g, p), half_products(w, p),
+                                   rtol=0, atol=tol)
 
 
 class TestPairOperator:
@@ -510,10 +546,42 @@ class TestPairOperator:
             np.testing.assert_allclose(np.append(sides[0], last), want,
                                        rtol=0, atol=1e-14 * n)
         p = np.random.default_rng(2).standard_normal((3, 2 * n - 1))
-        q_got, q_want = np.empty_like(p), np.empty_like(p)
-        op.mu_prime().products(p, q_got)
-        dense_backend(free, PROBIT).mu_prime().products(p, q_want)
+        q_got = half_products(op.mu_prime(), p)
+        q_want = half_products(dense_backend(free, PROBIT).mu_prime(), p)
         np.testing.assert_allclose(q_got, q_want, rtol=0, atol=1e-14 * n)
+
+    @pytest.mark.parametrize("n, half_width, backend", [
+        (40, 1.0, "dense"), (100, 0.1, 12), (100, 1.0, 24), (100, 5.0, "dense")])
+    def test_half_products_are_the_cross_block_and_its_transpose(self, n, half_width, backend):
+        # cross and cross_t against the dense Jacobian's W[:, :n-1], and bit
+        # for bit the two halves of the two-sided product they replaced
+        # (one (R, 2n-1) product into a preallocated out, written out here)
+        free = box_free(n, half_width, 50)
+        op = pairs._pairs(free[None], PROBIT)
+        assert rung(op) == [backend]
+        op = op.mu_prime()
+        rng = np.random.default_rng(51)
+        x, y = rng.standard_normal((3, n - 1)), rng.standard_normal((3, n))
+        cross = jacobian(ParameterVector.from_free(free), PROBIT).w[:, : n - 1]
+        np.testing.assert_allclose(op.cross(x), x @ cross.T, rtol=0, atol=1e-14 * n)
+        np.testing.assert_allclose(op.cross_t(y), y @ cross, rtol=0, atol=1e-14 * n)
+        p = np.concatenate([y, x], axis=1)
+        out = np.empty_like(p)
+        stack = op.stacks[0]
+        if backend == "dense":
+            m = stack.m[..., : n - 1]
+            np.matmul(m, p[:, n:, None], out=out[:, :n, None])
+            np.matmul(p[:, None, :n], m, out=out[:, None, n:])
+        else:
+            t = pairs._t
+            lta, ltb = stack.lt[:, 0], stack.lt[:, 1, :, : n - 1]
+            c, d = stack.c, stack.d[:, : n - 1]
+            np.matmul(p[:, None, n:] @ t(ltb) @ t(c), lta, out=out[:, None, :n])
+            np.matmul(p[:, None, :n] @ t(lta) @ c, ltb, out=out[:, None, n:])
+            out[:, : n - 1] -= d * p[:, n:]
+            out[:, n:] -= d * p[:, : n - 1]
+        assert np.array_equal(op.cross(x), out[:, :n])
+        assert np.array_equal(op.cross_t(y), out[:, n:])
 
     @pytest.mark.parametrize("p", pairs._CHEB_LADDER)
     def test_strength_on_a_node_gets_a_one_hot_row(self, p):
@@ -574,8 +642,7 @@ class TestPairOperator:
         bernoulli = op.mu().bernoulli().sums()
         for which in ("mu", "mu_prime"):
             got = getattr(op, which)()
-            sums, q = got.sums(), np.empty_like(p)
-            got.products(p, q)
+            sums, q = got.sums(), half_products(got, p)
             for r in range(len(widths)):
                 want = dense_backend(free[r], PROBIT)
                 if which == "mu":
@@ -584,8 +651,7 @@ class TestPairOperator:
                 want = getattr(want, which)()
                 for a, b in zip(sums, want.sums()):
                     np.testing.assert_allclose(a[r], b[0], rtol=0, atol=tol)
-                qw = np.empty((1, 2 * n - 1))
-                want.products(p[r : r + 1], qw)
+                qw = half_products(want, p[r : r + 1])
                 np.testing.assert_allclose(q[r], qw[0], rtol=0, atol=tol)
 
     def test_split_stacks_serve_each_row_as_if_alone(self):
@@ -605,14 +671,11 @@ class TestPairOperator:
         p = np.random.default_rng(6).standard_normal((4, 2 * n - 1))
         for which in ("mu", "mu_prime"):
             got = getattr(op, which)()
-            q = np.empty_like(p)
-            got.products(p, q)
+            q = half_products(got, p)
             for r in range(4):
                 alone = getattr(lone[r], which)()
                 same_row(got.sums(), r, alone.sums())
-                qa = np.empty((1, 2 * n - 1))
-                alone.products(p[r : r + 1], qa)
-                assert np.array_equal(q[r], qa[0])
+                assert np.array_equal(q[r], half_products(alone, p[r : r + 1])[0])
 
     def test_one_block_with_every_rung_serves_each_row_as_if_alone(self):
         # row 5 on 12 nodes, rows 1 and 3 on 24, rows 0 and 4 on 32, row 2
@@ -626,9 +689,7 @@ class TestPairOperator:
         assert rung(op) == [12, 24, 32, "dense"]
         assert [r.tolist() for r in op.rows] == [[5], [1, 3], [0, 4], [2]]
         p = np.random.default_rng(7).standard_normal((6, 2 * n - 1))
-        q = {which: np.empty_like(p) for which in ("mu", "mu_prime")}
-        for which in q:
-            getattr(op, which)().products(p, q[which])
+        q = {which: half_products(getattr(op, which)(), p) for which in ("mu", "mu_prime")}
         got = {"mu": op.mu().sums(), "mu_prime": op.mu_prime().sums(),
                "bernoulli": op.mu().bernoulli().sums()}
         for r, stack in ((0, 2), (1, 1), (2, 3), (3, 1), (4, 2), (5, 0)):
@@ -640,8 +701,7 @@ class TestPairOperator:
                 for a, b in zip(got[key], want[key]):
                     assert np.array_equal(a[r], b[0])
             for which in q:
-                qa = np.empty((1, 2 * n - 1))
-                getattr(alone, which)().products(p[r : r + 1], qa)
+                qa = half_products(getattr(alone, which)(), p[r : r + 1])
                 assert np.array_equal(q[which][r], qa[0])
 
     @pytest.mark.parametrize("half_width", [0.0, 1.0])
